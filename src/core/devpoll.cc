@@ -3,9 +3,23 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/kernel/fd_table.h"
 #include "src/kernel/sys_errno.h"
 
 namespace scio {
+
+namespace {
+
+// True when EvaluateInterest would only count a skipped driver call:
+// hintable, unhinted, cached not-ready, and still bound to the file open
+// under its fd (told by the fd table's generation tag, without a refcount).
+bool Idle(const Interest& interest, const FdTable& fds) {
+  return interest.hintable && !interest.hint &&
+         (interest.cached & (interest.events | kPollAlwaysReported)) == 0 &&
+         fds.Current({interest.fd, interest.fd_gen});
+}
+
+}  // namespace
 
 DevPollDevice::DevPollDevice(SimKernel* kernel, Process* owner, DevPollOptions options)
     : File(kernel), owner_(owner), options_(options) {
@@ -35,6 +49,7 @@ void DevPollDevice::BindInterest(Interest& interest) {
   if (current == nullptr) {
     return;  // stale fd: EvaluateInterest reports POLLNVAL
   }
+  interest.fd_gen = owner_->fds().generation(interest.fd);
   interest.hintable = options_.hints_enabled && current->SupportsPollHints();
   if (interest.hintable) {
     interest.link = std::make_unique<BackmapLink>(
@@ -64,13 +79,19 @@ long DevPollDevice::WriteInternal(std::span<const PollFd> updates) {
         kernel()->cost().devpoll_write_per_fd *
             static_cast<SimDuration>(updates.size())}});
 
+  // A bad entry fails the whole write before any update is applied, like
+  // the ENOMEM path below: a partial apply would leave the caller unable to
+  // tell which updates took effect.
+  bool grows = false;
+  for (const PollFd& update : updates) {
+    if (update.fd < 0) {
+      return -1;
+    }
+    grows = grows || (update.events & kPollRemove) == 0;
+  }
   // Interest-set growth allocates kernel memory; under an ENOMEM fault window
   // the whole write fails atomically, before any update is applied, so the
   // caller can retry the batch verbatim.
-  bool grows = false;
-  for (const PollFd& update : updates) {
-    grows = grows || (update.events & kPollRemove) == 0;
-  }
   if (grows) {
     if (FaultPlane* fault = kernel()->fault();
         fault != nullptr && fault->InjectInterestEnomem()) {
@@ -80,9 +101,6 @@ long DevPollDevice::WriteInternal(std::span<const PollFd> updates) {
 
   const uint64_t resizes_before = table_.resize_count();
   for (const PollFd& update : updates) {
-    if (update.fd < 0) {
-      return -1;
-    }
     if ((update.events & kPollRemove) != 0) {
       table_.Erase(update.fd);
       continue;
@@ -271,14 +289,31 @@ int DevPollDevice::ScanOnce(PollFd* out, int max, bool charge_copyout) {
     return ready;
   }
 
+  // Full walk. An idle interest's scan charge joins a run that is paid as
+  // one clock move; the run stops at the event horizon, so no event fires
+  // inside it and every interest sees the state it would have seen with one
+  // charge each. Any other interest pays the run together with its own scan
+  // charge (which may run events), then takes the per-interest path.
+  const SimDuration per_interest = cost.devpoll_scan_per_interest;
+  const FdTable& fds = owner_->fds();
+  uint64_t horizon = kernel()->DeferrableCharges(per_interest);
+  uint64_t run = 0;
   table_.ForEach([&](Interest& interest) {
     ++stats.devpoll_interests_scanned;
-    kernel()->Charge(cost.devpoll_scan_per_interest, ChargeCat::kDevpollScan);
+    if (run < horizon && Idle(interest, fds)) {
+      ++run;
+      ++stats.devpoll_driver_calls_avoided;
+      return;
+    }
+    kernel()->ChargeRepeated(per_interest, ChargeCat::kDevpollScan, run + 1);
+    run = 0;
     const PollEvents revents = EvaluateInterest(interest);
     if (revents != 0) {
       emit(interest, revents);
     }
+    horizon = kernel()->DeferrableCharges(per_interest);
   });
+  kernel()->ChargeRepeated(per_interest, ChargeCat::kDevpollScan, run);
   kernel()->TraceInstant(
       TraceEventType::kScan, "dp_scan",
       static_cast<int32_t>(stats.devpoll_interests_scanned - scanned_before),

@@ -110,7 +110,6 @@ class DevPollDevice : public File {
 
   void PushActive(Interest& interest);
 
-  SimKernel* kernel_;
   Process* owner_;
   DevPollOptions options_;
   InterestHashTable table_;

@@ -32,24 +32,31 @@
 
 namespace scio {
 
+// Fields are ordered so the small ones fill the gaps around the two
+// pointers: the node stays 40 bytes (checked below).
 struct Interest {
   int fd = -1;
   PollEvents events = 0;
+  PollEvents cached = 0;   // §3.2: last driver poll result
 
   // The file this interest was bound to at write() time. If the fd is closed
   // the pointer expires and DP_POLL reports POLLNVAL; if the fd number was
   // reused, DP_POLL rebinds to the new file.
   std::weak_ptr<File> file;
+  // fd-table generation of `fd` when `file` was bound: while the slot still
+  // carries it, the fd still holds `file` (no refcount needed to tell).
+  uint32_t fd_gen = 0;
 
   // --- §3.2 hint state ---------------------------------------------------------
   bool hint = true;        // driver flagged a change; starts true (never polled)
-  PollEvents cached = 0;   // last driver poll result
   bool queued = false;     // on the active scan list (hinted-first mode)
   bool hintable = false;   // the bound driver participates in hinting
 
   // Owns the registration of this interest on the file's listener list.
   std::unique_ptr<BackmapLink> link;
 };
+static_assert(sizeof(void*) != 8 || sizeof(Interest) == 40,
+              "Interest grew: every byte counts toward bytes/connection");
 
 class InterestHashTable {
  public:

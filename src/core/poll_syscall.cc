@@ -3,14 +3,22 @@
 #include <memory>
 #include <vector>
 
+#include "src/kernel/fd_table.h"
 #include "src/kernel/sys_errno.h"
 
 namespace scio {
 
 int PollSyscall::ScanOnce(std::span<PollFd> fds) {
   KernelStats& stats = kernel_->stats();
-  const CostModel& cost = kernel_->cost();
+  const FdTable& table = proc_->fds();
+  const SimDuration per_fd = kernel_->cost().poll_driver_poll_per_fd;
   const uint64_t scanned_before = stats.poll_fds_scanned;
+  // Stock poll() has no hints: the driver poll callback runs for every
+  // descriptor on every scan, no matter how idle it is. Its charges join a
+  // run paid as one clock move, cut at the event horizon so no event fires
+  // between a deferred charge and its PollMask() (see SimKernel).
+  uint64_t horizon = kernel_->DeferrableCharges(per_fd);
+  uint64_t run = 0;
   int ready = 0;
   for (PollFd& pfd : fds) {
     ++stats.poll_fds_scanned;
@@ -18,21 +26,30 @@ int PollSyscall::ScanOnce(std::span<PollFd> fds) {
     if (pfd.fd < 0) {
       continue;  // negative fds are ignored, as in poll(2)
     }
-    std::shared_ptr<File> file = proc_->fds().Get(pfd.fd);
+    const File* file = table.Peek(pfd.fd);
     if (file == nullptr) {
       pfd.revents = kPollNval;
       ++ready;
       continue;
     }
-    // Stock poll() has no hints: the driver poll callback runs for every
-    // descriptor on every scan, no matter how idle it is.
     ++stats.poll_driver_calls;
-    kernel_->Charge(cost.poll_driver_poll_per_fd, ChargeCat::kDriverPoll);
-    pfd.revents = file->PollMask() & (pfd.events | kPollAlwaysReported);
+    if (run < horizon) {
+      ++run;
+      pfd.revents = file->PollMask() & (pfd.events | kPollAlwaysReported);
+    } else {
+      // This charge may run events, which could even close the fd: hold a
+      // reference to the file across it.
+      const std::shared_ptr<File> held = table.Get(pfd.fd);
+      kernel_->ChargeRepeated(per_fd, ChargeCat::kDriverPoll, run + 1);
+      run = 0;
+      pfd.revents = held->PollMask() & (pfd.events | kPollAlwaysReported);
+      horizon = kernel_->DeferrableCharges(per_fd);
+    }
     if (pfd.revents != 0) {
       ++ready;
     }
   }
+  kernel_->ChargeRepeated(per_fd, ChargeCat::kDriverPoll, run);
   kernel_->TraceInstant(TraceEventType::kScan, "poll_scan",
                         static_cast<int32_t>(stats.poll_fds_scanned - scanned_before),
                         ready);

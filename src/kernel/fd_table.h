@@ -46,6 +46,14 @@ class FdTable {
   // nullptr if fd is out of range or closed.
   std::shared_ptr<File> Get(int fd) const;
 
+  // Get() without taking a reference, for scan loops that only call the
+  // file's PollMask() while nothing can close the descriptor.
+  File* Peek(int fd) const {
+    return fd < 0 || !slots_.Contains(static_cast<size_t>(fd))
+               ? nullptr
+               : slots_.At(static_cast<size_t>(fd)).get();
+  }
+
   // Returns 0, or -1 if fd was not open (EBADF). Runs the file's OnFdClose
   // hook before releasing the slot.
   int Close(int fd);
@@ -65,14 +73,17 @@ class FdTable {
     return f == nullptr ? FdHandle{} : FdHandle{fd, generation(fd)};
   }
 
+  // True while the descriptor behind a handle is still open: not closed
+  // since the handle was taken, so it still holds the same File.
+  bool Current(const FdHandle& h) const {
+    return h.valid() && slots_.Contains(static_cast<size_t>(h.fd)) &&
+           slots_.generation(static_cast<size_t>(h.fd)) == h.gen;
+  }
+
   // The File behind a handle, or nullptr if the descriptor has been closed
   // (even if the fd number has since been reused by a different File).
   std::shared_ptr<File> Resolve(const FdHandle& h) const {
-    if (!h.valid() || !slots_.Contains(static_cast<size_t>(h.fd)) ||
-        slots_.generation(static_cast<size_t>(h.fd)) != h.gen) {
-      return nullptr;
-    }
-    return slots_.At(static_cast<size_t>(h.fd));
+    return Current(h) ? slots_.At(static_cast<size_t>(h.fd)) : nullptr;
   }
 
   // Allocation-free visit of every open descriptor in ascending fd order:

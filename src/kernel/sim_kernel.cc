@@ -16,7 +16,6 @@ void SimKernel::Charge(std::initializer_list<ChargeItem> items) {
   // One charge of the summed duration — the clock motion is identical to the
   // pre-attribution implementation, so seeded runs stay bit-identical.
   const SimDuration scaled = Scaled(raw);
-  const SimDuration total = scaled + interrupt_debt_;
 
   // Attribute the process-context part per item. Each item is scaled
   // individually; the rounding remainder (only possible with a fractional
@@ -32,6 +31,43 @@ void SimKernel::Charge(std::initializer_list<ChargeItem> items) {
   if (last != nullptr) {
     Attribute(last->cat, scaled - attributed);
   }
+  PayAndAdvance(scaled);
+}
+
+uint64_t SimKernel::DeferrableCharges(SimDuration d) {
+  if (InSmpWorker()) {
+    return 0;  // every worker charge is a scheduling point
+  }
+  const SimTime next = sim_->queue().NextTime();
+  const SimTime start = sim_->now() + interrupt_debt_;
+  if (next <= start) {
+    return 0;
+  }
+  const SimDuration unit = Scaled(d);
+  if (next == kSimTimeNever || unit <= 0) {
+    return UINT64_MAX;
+  }
+  // Largest j with start + j·unit < next.
+  return static_cast<uint64_t>((next - start - 1) / unit);
+}
+
+void SimKernel::ChargeRepeated(SimDuration d, ChargeCat cat, uint64_t n) {
+  const SimDuration unit = Scaled(d);
+  while (n > 0) {
+    // Units within the horizon run no event; the one after it may, at its
+    // end, exactly as its own Charge() would. A longer run is split there.
+    // A single unit is one Charge() and needs no horizon.
+    const uint64_t horizon = n == 1 ? 0 : DeferrableCharges(d);
+    const uint64_t k = horizon >= n ? n : horizon + 1;
+    const SimDuration scaled = unit * static_cast<SimDuration>(k);
+    Attribute(cat, scaled);
+    PayAndAdvance(scaled);
+    n -= k;
+  }
+}
+
+void SimKernel::PayAndAdvance(SimDuration scaled) {
+  const SimDuration total = scaled + interrupt_debt_;
 
   // Pay the interrupt debt: move its per-category breakdown into the ledger.
   if (interrupt_debt_ > 0) {
@@ -48,7 +84,7 @@ void SimKernel::Charge(std::initializer_list<ChargeItem> items) {
     return;
   }
   busy_time_ += total;
-  if (smp_ != nullptr && smp_->InWorkerContext()) {
+  if (InSmpWorker()) {
     // A worker's charge moves its local CPU clock; the scheduler decides when
     // the global clock catches up (and which events run in between).
     smp_->OnCharge(total);
@@ -59,7 +95,7 @@ void SimKernel::Charge(std::initializer_list<ChargeItem> items) {
 
 bool SimKernel::BlockProcess(Process& proc, SimTime deadline) {
   bool woken;
-  if (smp_ != nullptr && smp_->InWorkerContext()) {
+  if (InSmpWorker()) {
     // Yield this worker's CPU; the scheduler runs other workers (and the
     // simulator) until the process is woken or the deadline passes.
     woken = smp_->OnBlock(proc, deadline);

@@ -21,6 +21,14 @@
 // clock motion — and therefore every seeded run — is bit-identical to an
 // untagged charge of the same total.
 //
+// Charge runs. A scan that charges the same per-entry cost n times can fold
+// the units into one clock move (ChargeRepeated) as long as none of them
+// would have run an event: unit j of a run is deferrable only while
+//   now + pending debt + j·Scaled(d) < NextTime()
+// (DeferrableCharges is that bound; 0 in SMP worker context, where every
+// charge is a scheduling point). Within the horizon nothing can observe the
+// deferred clock, so the run is bit-identical to n Charge() calls.
+//
 // BlockProcess() implements blocking syscalls: it runs simulation events
 // until the process is woken (by a wait-queue wakeup or a signal) or a
 // deadline passes.
@@ -114,6 +122,17 @@ class SimKernel {
   // item so the ledger invariant never drifts.
   void Charge(std::initializer_list<ChargeItem> items);
 
+  // How many Charge(d, ...) units could run back to back from here without
+  // any of them running an event (see "Charge runs" above). Unbounded runs
+  // (an empty queue) read as UINT64_MAX.
+  uint64_t DeferrableCharges(SimDuration d);
+
+  // Exactly what `n` Charge(d, cat) calls do — n·Scaled(d) attributed to
+  // `cat`, pending debt paid once — applied as one clock move per event
+  // horizon crossed (one move when n <= DeferrableCharges(d) + 1). n == 0
+  // does nothing.
+  void ChargeRepeated(SimDuration d, ChargeCat cat, uint64_t n);
+
   // Record interrupt-context work to be paid by the next Charge().
   void ChargeDebt(SimDuration d, ChargeCat cat) {
     const SimDuration scaled = Scaled(d);
@@ -206,11 +225,19 @@ class SimKernel {
     }
   }
 
+  bool InSmpWorker() const { return smp_ != nullptr && smp_->InWorkerContext(); }
+
+  // Pay the pending debt and move the clock (or the running worker's CPU
+  // clock) by it plus `scaled`, the already-attributed process-context part.
+  // Inline (defined in sim_kernel.cc, its only caller): it is the tail of
+  // Charge(), the simulator's hottest call.
+  inline void PayAndAdvance(SimDuration scaled);
+
   // Ledger write that also feeds the running worker's per-CPU ledger when an
   // SMP plane is attached and we are in worker context.
   void Attribute(ChargeCat cat, SimDuration d) {
     attribution_.Add(cat, d);
-    if (smp_ != nullptr && smp_->InWorkerContext()) {
+    if (InSmpWorker()) {
       smp_->OnAttribute(cat, d);
     }
   }

@@ -72,6 +72,18 @@ TEST_F(DevPollTest, NegativeFdInUpdateIsError) {
   Open();
   PollFd bad{-1, kPollIn, 0};
   EXPECT_EQ(sys_.DevPollWrite(dpfd_, {&bad, 1}), -1);
+
+  // A bad entry fails the whole batch before any update applies, so a
+  // caller that retries the batch verbatim never half-applies it.
+  auto [client, fd] = EstablishedPair();
+  WriteOne(fd, kPollIn);
+  PollFd batch[3] = {{fd, kPollRemove, 0}, {listen_fd_, kPollIn, 0}, {-1, kPollIn, 0}};
+  EXPECT_EQ(sys_.DevPollWrite(dpfd_, batch), -1);
+  EXPECT_EQ(device_->interest_count(), 1u);
+  ASSERT_NE(device_->FindInterest(fd), nullptr) << "the remove before the bad entry was applied";
+  EXPECT_EQ(device_->FindInterest(fd)->events, kPollIn);
+  EXPECT_EQ(device_->FindInterest(listen_fd_), nullptr)
+      << "the add before the bad entry was applied";
 }
 
 TEST_F(DevPollTest, PollRemoveDeletesInterest) {
@@ -310,6 +322,124 @@ TEST_F(DevPollTest, CloseDestroysInterestSet) {
   ASSERT_EQ(sys_.Close(dpfd_), 0);
   EXPECT_EQ(server_sock->status_listener_count(), 0u)
       << "backmap links unregistered when the set dies";
+}
+
+// --- idle interests in a full scan --------------------------------------------------
+//
+// A full scan folds the charges of idle interests (hintable, unhinted, cached
+// not-ready, still bound to the file open under their fd) into runs. The
+// first two tests pin the last condition: an interest scanned idle must not
+// stay idle once its fd is closed or reused. The third pins the run's event
+// horizon: a hint that lands mid-scan is seen by the rest of that scan.
+
+TEST_F(DevPollTest, IdleInterestWhoseFdClosesReportsPollNval) {
+  Open();
+  auto [client, fd] = EstablishedPair();
+  WriteOne(fd, kPollIn);
+  PollNow();  // the first scan calls the driver (initial hint)
+  const uint64_t avoided_before = kernel_.stats().devpoll_driver_calls_avoided;
+  PollNow();
+  ASSERT_EQ(kernel_.stats().devpoll_driver_calls_avoided, avoided_before + 1)
+      << "scanned idle";
+  const uint64_t stale_before = kernel_.stats().devpoll_scan_stale_fd;
+  ASSERT_EQ(sys_.Close(fd), 0);
+  auto results = PollNow();
+  ASSERT_EQ(results.count(fd), 1u);
+  EXPECT_EQ(results[fd], kPollNval);
+  EXPECT_EQ(kernel_.stats().devpoll_scan_stale_fd, stale_before + 1);
+}
+
+TEST_F(DevPollTest, IdleInterestWhoseFdIsReusedRebindsToNewConnection) {
+  Open();
+  auto [client1, fd1] = EstablishedPair();
+  WriteOne(fd1, kPollIn);
+  PollNow();
+  const uint64_t avoided_before = kernel_.stats().devpoll_driver_calls_avoided;
+  PollNow();
+  ASSERT_EQ(kernel_.stats().devpoll_driver_calls_avoided, avoided_before + 1)
+      << "scanned idle";
+  ASSERT_EQ(sys_.Close(fd1), 0);
+  auto [client2, fd2] = EstablishedPair();
+  ASSERT_EQ(fd2, fd1) << "test requires fd reuse";
+  // The new connection's data hints nobody: the interest's backmap link
+  // still points at the closed file.
+  client2->Write(Chunk{"x", 0});
+  RunFor(Millis(5));
+  auto results = PollNow();
+  ASSERT_EQ(results.count(fd2), 1u);
+  EXPECT_EQ(results[fd2], kPollIn) << "rebound to the connection now under the fd";
+}
+
+// A hintable file whose readiness the test sets directly.
+class HintingFile : public File {
+ public:
+  explicit HintingFile(SimKernel* kernel) : File(kernel) {}
+  PollEvents PollMask() const override { return mask_; }
+  bool SupportsPollHints() const override { return true; }
+  void SetMask(PollEvents mask) { mask_ = mask; }
+
+ private:
+  PollEvents mask_ = 0;
+};
+
+TEST_F(DevPollTest, HintLandingMidScanIsReportedBySameScan) {
+  Open();
+  constexpr int kFiles = 40;
+  std::vector<std::shared_ptr<HintingFile>> files;
+  std::vector<PollFd> updates;
+  for (int i = 0; i < kFiles; ++i) {
+    files.push_back(std::make_shared<HintingFile>(&kernel_));
+    updates.push_back({sys_.InstallFile(files.back()), kPollIn, 0});
+    ASSERT_GE(updates.back().fd, 0);
+  }
+  ASSERT_GT(sys_.DevPollWrite(dpfd_, updates), 0);
+
+  // Learn the scan order: with every file ready, results come out in it.
+  for (auto& file : files) {
+    file->SetMask(kPollIn);
+  }
+  std::vector<PollFd> order(kFiles);
+  DvPoll all{order.data(), kFiles, 0};
+  ASSERT_EQ(sys_.DevPollPoll(dpfd_, &all), kFiles);
+  const int last_fd = order.back().fd;
+  std::shared_ptr<HintingFile> last;
+  for (size_t i = 0; i < updates.size(); ++i) {
+    if (updates[i].fd == last_fd) {
+      last = files[i];
+    }
+  }
+  ASSERT_NE(last, nullptr);
+
+  // Settle: every interest idle (the recheck scan clears the cached-ready
+  // results, the next one skips every driver).
+  for (auto& file : files) {
+    file->SetMask(0);
+  }
+  PollNow();
+  const uint64_t avoided_before = kernel_.stats().devpoll_driver_calls_avoided;
+  ASSERT_TRUE(PollNow().empty());
+  ASSERT_EQ(kernel_.stats().devpoll_driver_calls_avoided, avoided_before + kFiles);
+
+  // The last-scanned file turns readable halfway through the second
+  // interest's scan charge. A DP_POLL with one charge per interest sees the
+  // hint before it reaches that file, and so must the folded scan.
+  const CostModel& cost = kernel_.cost();
+  const SimDuration unit = kernel_.Scaled(cost.devpoll_scan_per_interest);
+  const SimTime scan_start =
+      kernel_.now() + kernel_.pending_interrupt_debt() +
+      kernel_.Scaled(cost.syscall_entry) + kernel_.Scaled(cost.devpoll_ioctl_extra) +
+      kernel_.Scaled(cost.devpoll_lock_acquire);
+  const uint64_t scanned_before = kernel_.stats().devpoll_interests_scanned;
+  uint64_t scanned_at_hint = 0;
+  sim_.ScheduleAt(scan_start + unit + unit / 2, [&] {
+    scanned_at_hint = kernel_.stats().devpoll_interests_scanned - scanned_before;
+    last->SetMask(kPollIn);
+    last->NotifyStatus(kPollIn);
+  });
+  auto results = PollNow();
+  EXPECT_EQ(scanned_at_hint, 2u) << "the hint landed during the second interest";
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[last_fd], kPollIn);
 }
 
 // --- scan counter taxonomy --------------------------------------------------------

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "src/kernel/fd_table.h"
 #include "src/kernel/file.h"
 #include "src/kernel/process.h"
@@ -92,6 +95,23 @@ TEST_F(KernelFixture, FdTableOpenFdsSnapshot) {
   table.Allocate(std::make_shared<FakeFile>(&kernel));
   table.Close(1);
   EXPECT_EQ(table.OpenFds(), (std::vector<int>{0, 2}));
+}
+
+TEST_F(KernelFixture, FdTableHandleStaysCurrentUntilClose) {
+  FdTable table(8);
+  auto file = std::make_shared<FakeFile>(&kernel);
+  const int fd = table.Allocate(file);
+  const FdHandle handle = table.Handle(fd);
+  EXPECT_TRUE(table.Current(handle));
+  EXPECT_EQ(table.Peek(fd), file.get());
+  table.Close(fd);
+  EXPECT_FALSE(table.Current(handle));
+  EXPECT_EQ(table.Peek(fd), nullptr);
+  ASSERT_EQ(table.Allocate(std::make_shared<FakeFile>(&kernel)), fd);
+  EXPECT_FALSE(table.Current(handle)) << "a reused fd number is a new generation";
+  EXPECT_EQ(table.Peek(-1), nullptr);
+  EXPECT_EQ(table.Peek(1000), nullptr) << "out of range";
+  EXPECT_FALSE(table.Current({1000, 0}));
 }
 
 // --- WaitQueue ---------------------------------------------------------------
@@ -271,6 +291,136 @@ TEST_F(KernelFixture, CpuScaleMultipliesCharges) {
   scaled.Charge(Micros(10), ChargeCat::kOther);
   EXPECT_EQ(scaled.now(), sim.now());
   EXPECT_EQ(scaled.busy_time(), Micros(20));
+}
+
+// --- charge runs ------------------------------------------------------------------
+//
+// ChargeRepeated(d, cat, n) must leave a kernel exactly where n Charge(d, cat)
+// calls leave its twin: same clock, busy time and per-category ledger, with
+// the pending debt paid once.
+
+struct TwinKernels {
+  explicit TwinKernels(double cpu_scale) {
+    CostModel cost;
+    cost.cpu_scale = cpu_scale;
+    run = std::make_unique<SimKernel>(&run_sim, cost);
+    unit = std::make_unique<SimKernel>(&unit_sim, cost);
+  }
+  // The same pending interrupt debt, in two categories, on both kernels.
+  void AddDebt(SimDuration d) {
+    for (SimKernel* k : {run.get(), unit.get()}) {
+      k->ChargeDebt(d, ChargeCat::kInterrupt);
+      k->ChargeDebt(d / 3, ChargeCat::kHintMark);
+    }
+  }
+  void ExpectSame() const {
+    EXPECT_EQ(run->now(), unit->now());
+    EXPECT_EQ(run->busy_time(), unit->busy_time());
+    EXPECT_EQ(run->pending_interrupt_debt(), unit->pending_interrupt_debt());
+    EXPECT_EQ(run->attribution().Signature(), unit->attribution().Signature());
+    EXPECT_EQ(run->attribution().Sum(), run->busy_time());
+  }
+  Simulator run_sim;
+  Simulator unit_sim;
+  std::unique_ptr<SimKernel> run;
+  std::unique_ptr<SimKernel> unit;
+};
+
+class ChargeRunTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(ChargeRunTest, RunMatchesPerUnitChargesWithPendingDebt) {
+  TwinKernels twins(GetParam());
+  twins.AddDebt(Micros(7) + 1);
+  constexpr uint64_t kUnits = 1000;
+  constexpr SimDuration kUnit = 41;  // 41 × 1.37 = 56.17: the rounding shows
+  ASSERT_GE(twins.run->DeferrableCharges(kUnit), kUnits) << "empty queue";
+  twins.run->ChargeRepeated(kUnit, ChargeCat::kDevpollScan, kUnits);
+  for (uint64_t i = 0; i < kUnits; ++i) {
+    twins.unit->Charge(kUnit, ChargeCat::kDevpollScan);
+  }
+  twins.ExpectSame();
+  EXPECT_EQ(twins.run->attribution()[ChargeCat::kDevpollScan],
+            static_cast<SimDuration>(kUnits) * twins.run->Scaled(kUnit))
+      << "n·Scaled(d), not Scaled(n·d)";
+}
+
+TEST_P(ChargeRunTest, RunAcrossEventsMatchesPerUnitCharges) {
+  // Events inside the run's span add interrupt debt, which the following
+  // units pay: a run past the horizon must split there.
+  TwinKernels twins(GetParam());
+  twins.AddDebt(Micros(3));
+  std::vector<SimTime> fired_run;
+  std::vector<SimTime> fired_unit;
+  for (SimTime t : {Micros(2), Micros(9), Micros(9) + 1, Micros(30)}) {
+    twins.run_sim.ScheduleAt(t, [&twins, &fired_run] {
+      fired_run.push_back(twins.run->now());
+      twins.run->ChargeDebt(Micros(1), ChargeCat::kInterrupt);
+    });
+    twins.unit_sim.ScheduleAt(t, [&twins, &fired_unit] {
+      fired_unit.push_back(twins.unit->now());
+      twins.unit->ChargeDebt(Micros(1), ChargeCat::kInterrupt);
+    });
+  }
+  constexpr uint64_t kUnits = 500;
+  twins.run->ChargeRepeated(97, ChargeCat::kDriverPoll, kUnits);
+  for (uint64_t i = 0; i < kUnits; ++i) {
+    twins.unit->Charge(97, ChargeCat::kDriverPoll);
+  }
+  twins.ExpectSame();
+  EXPECT_EQ(fired_run, fired_unit);
+  EXPECT_EQ(fired_run.size(), 4u);
+}
+
+TEST_P(ChargeRunTest, EventAtHorizonFiresOnTheSameUnit) {
+  TwinKernels twins(GetParam());
+  twins.AddDebt(Micros(5));
+  constexpr SimDuration kUnit = 100;
+  constexpr uint64_t kJ = 37;
+  // Exactly now + debt + j·s: per-unit charges run it on unit j.
+  const SimTime at = twins.run->now() + twins.run->pending_interrupt_debt() +
+                     static_cast<SimDuration>(kJ) * twins.run->Scaled(kUnit);
+  int fired_run = 0;
+  int fired_unit = 0;
+  twins.run_sim.ScheduleAt(at, [&fired_run] { ++fired_run; });
+  twins.unit_sim.ScheduleAt(at, [&fired_unit] { ++fired_unit; });
+
+  uint64_t unit_fired_on = 0;
+  for (uint64_t j = 1; j <= 2 * kJ && unit_fired_on == 0; ++j) {
+    twins.unit->Charge(kUnit, ChargeCat::kDevpollScan);
+    if (fired_unit != 0) {
+      unit_fired_on = j;
+    }
+  }
+  ASSERT_EQ(unit_fired_on, kJ);
+
+  const uint64_t horizon = twins.run->DeferrableCharges(kUnit);
+  EXPECT_EQ(horizon, kJ - 1) << "unit j reaches the event, so it is not deferrable";
+  twins.run->ChargeRepeated(kUnit, ChargeCat::kDevpollScan, horizon);
+  EXPECT_EQ(fired_run, 0) << "a run within the horizon runs no event";
+  twins.run->ChargeRepeated(kUnit, ChargeCat::kDevpollScan, 1);
+  EXPECT_EQ(fired_run, 1);
+  twins.ExpectSame();
+}
+
+INSTANTIATE_TEST_SUITE_P(CpuScales, ChargeRunTest, ::testing::Values(1.0, 1.37));
+
+TEST_F(KernelFixture, EmptyChargeRunDoesNothing) {
+  kernel.ChargeDebt(Micros(4), ChargeCat::kInterrupt);
+  kernel.ChargeRepeated(Micros(1), ChargeCat::kDevpollScan, 0);
+  EXPECT_EQ(kernel.now(), 0);
+  EXPECT_EQ(kernel.busy_time(), 0);
+  EXPECT_EQ(kernel.pending_interrupt_debt(), Micros(4)) << "no unit, no debt paid";
+}
+
+TEST_F(KernelFixture, HorizonCountsDebtAndDueEvents) {
+  EXPECT_EQ(kernel.DeferrableCharges(Micros(1)), UINT64_MAX) << "empty queue";
+  sim.ScheduleAt(Micros(10), [] {});
+  EXPECT_EQ(kernel.DeferrableCharges(Micros(1)), 9u);
+  EXPECT_EQ(kernel.DeferrableCharges(Micros(3)), 3u);
+  kernel.ChargeDebt(Micros(4), ChargeCat::kInterrupt);
+  EXPECT_EQ(kernel.DeferrableCharges(Micros(1)), 5u) << "the debt is paid first";
+  kernel.ChargeDebt(Micros(6), ChargeCat::kInterrupt);
+  EXPECT_EQ(kernel.DeferrableCharges(Micros(1)), 0u) << "debt alone reaches the event";
 }
 
 TEST_F(KernelFixture, BlockProcessWokenByEvent) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "tests/sim_world.h"
 
 namespace scio {
@@ -47,6 +50,40 @@ TEST_F(PollSyscallTest, NegativeFdIgnored) {
   PollFd pfd{-1, kPollIn, 0};
   EXPECT_EQ(sys_.Poll({&pfd, 1}, 0), 0);
   EXPECT_EQ(pfd.revents, 0);
+}
+
+// A file whose readiness the test sets directly.
+class SettableFile : public File {
+ public:
+  explicit SettableFile(SimKernel* kernel) : File(kernel) {}
+  PollEvents PollMask() const override { return mask_; }
+  void SetMask(PollEvents mask) { mask_ = mask; }
+
+ private:
+  PollEvents mask_ = 0;
+};
+
+TEST_F(PollSyscallTest, FileTurningReadyMidScanIsReportedBySameCall) {
+  // The driver charges of a scan are folded into runs; the runs stop at the
+  // event horizon, so a file that turns ready while the scan is still on an
+  // earlier fd is polled after the change, exactly as with one charge per fd.
+  constexpr int kFiles = 30;
+  std::vector<std::shared_ptr<SettableFile>> files;
+  std::vector<PollFd> pfds;
+  for (int i = 0; i < kFiles; ++i) {
+    files.push_back(std::make_shared<SettableFile>(&kernel_));
+    pfds.push_back({sys_.InstallFile(files.back()), kPollIn, 0});
+    ASSERT_GE(pfds.back().fd, 0);
+  }
+  const CostModel& cost = kernel_.cost();
+  const SimDuration unit = kernel_.Scaled(cost.poll_driver_poll_per_fd);
+  const SimTime scan_start =
+      kernel_.now() + kernel_.pending_interrupt_debt() +
+      kernel_.Scaled(cost.syscall_entry + cost.poll_copyin_per_fd * kFiles);
+  sim_.ScheduleAt(scan_start + unit + unit / 2, [&] { files.back()->SetMask(kPollIn); });
+  EXPECT_EQ(sys_.Poll(pfds, 0), 1);
+  EXPECT_EQ(pfds.back().revents, kPollIn);
+  EXPECT_EQ(kernel_.stats().poll_driver_calls, static_cast<uint64_t>(kFiles));
 }
 
 TEST_F(PollSyscallTest, ErrHupAlwaysReported) {

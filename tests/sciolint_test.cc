@@ -386,6 +386,42 @@ TEST(SciolintC1, SuccessorCategoryChargedNowhereIsOrphan) {
             std::string::npos);
 }
 
+TEST(SciolintC1, FlagsUntaggedChargeRepeated) {
+  // A charge run is n charges: it must name its category like one.
+  const auto findings = RunOn("src/core/engine.cc", R"(
+    void Scan(Kernel& kernel) {
+      kernel.ChargeRepeated(cost.scan_per_entry, run);
+    }
+  )");
+  EXPECT_EQ(CountRule(findings, "C1"), 1);
+}
+
+TEST(SciolintC1, TaggedChargeRepeatedIsClean) {
+  const auto findings = RunOn("src/core/engine.cc", R"(
+    void Scan(Kernel* kernel) {
+      kernel->ChargeRepeated(cost.scan_per_entry, ChargeCat::kDevpollScan,
+                             run + 1);
+    }
+  )");
+  EXPECT_EQ(CountRule(findings, "C1"), 0);
+}
+
+TEST(SciolintC1, ChargeRepeatedCoversItsCategory) {
+  // A category charged only through runs is charged, not an orphan.
+  Analysis analysis;
+  analysis.AddFile("src/trace/charge_category.h", R"(
+#define SCIO_CHARGE_CATEGORIES(X) \
+  X(kDevpollScan, devpoll_scan)
+  )");
+  analysis.AddFile("src/core/devpoll.cc", R"(
+    void Scan(Kernel* kernel) {
+      kernel->ChargeRepeated(cost.devpoll_scan_per_interest,
+                             ChargeCat::kDevpollScan, run);
+    }
+  )");
+  EXPECT_EQ(CountRule(analysis.Run(), "C1"), 0);
+}
+
 TEST(SciolintC1, FlagsUntaggedChargeLocal) {
   // ChargeLocal is the SMP scheduler's plain-call charge helper: no member
   // access, but the category requirement is the same.

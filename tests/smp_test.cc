@@ -145,6 +145,28 @@ TEST(SmpScheduler, PerCpuLedgersSumToWorkerBusyTime) {
   EXPECT_EQ(kernel.attribution().Sum(), kernel.busy_time());
 }
 
+TEST(SmpScheduler, ChargeRunHorizonIsZeroInsideAWorker) {
+  // Every worker charge is a scheduling point, so no charge may be deferred
+  // there — even with an empty event queue, where the main context's horizon
+  // is unbounded.
+  Simulator sim;
+  SimKernel kernel(&sim);
+  Process& a = kernel.CreateProcess("a");
+  EXPECT_EQ(kernel.DeferrableCharges(Micros(1)), UINT64_MAX);
+
+  uint64_t in_worker = 1;
+  SmpScheduler sched(&kernel, /*cpus=*/1, /*seed=*/1);
+  sched.AddWorker(&a, [&] {
+    in_worker = kernel.DeferrableCharges(Micros(1));
+    kernel.ChargeRepeated(Micros(1), ChargeCat::kDevpollScan, 10);
+  });
+  sched.Run();
+  EXPECT_EQ(in_worker, 0u);
+  EXPECT_EQ(sched.cpu_ledger(0)[ChargeCat::kDevpollScan], Micros(10))
+      << "a run in worker context still lands on the worker's CPU ledger";
+  EXPECT_EQ(kernel.attribution().Sum(), kernel.busy_time());
+}
+
 // --- end-to-end pool ----------------------------------------------------------
 
 SmpBenchmarkConfig QuickConfig(ServerKind server, ListenerMode mode, int workers,

@@ -289,8 +289,8 @@ void Analysis::CollectIndex(const LexedFile& file) {
     // compared, looked up in the ledger, or printed in a report row is not
     // charged anywhere, and the orphan check must keep flagging it.
     if ((tok.text == "Charge" || tok.text == "ChargeDebt" ||
-         tok.text == "ChargeLocal" || tok.text == "AccountSmp" ||
-         tok.text == "Attribute") &&
+         tok.text == "ChargeRepeated" || tok.text == "ChargeLocal" ||
+         tok.text == "AccountSmp" || tok.text == "Attribute") &&
         i + 1 < t.size() && IsPunct(t[i + 1], "(")) {
       const size_t close = SkipBalanced(t, i + 1, "(", ")");
       for (size_t j = i + 2; j + 2 < close; ++j) {
@@ -416,12 +416,15 @@ void Analysis::CheckFile(const LexedFile& file, std::vector<Finding>* out) {
       continue;
     }
 
-    // --- C1: Charge()/ChargeDebt()/ChargeLocal() must name a ChargeCat ----
-    // Charge/ChargeDebt are kernel methods (member calls); ChargeLocal is the
-    // SMP scheduler's plain-call charge helper, so no member access required.
+    // --- C1: every charge call must name a ChargeCat -------------------------
+    // Charge/ChargeDebt/ChargeRepeated are kernel methods (member calls);
+    // ChargeLocal is the SMP scheduler's plain-call charge helper, so no
+    // member access required.
     const bool member_call =
         i >= 1 && (IsPunct(t[i - 1], ".") || IsPunct(t[i - 1], "->"));
-    if ((((tok.text == "Charge" || tok.text == "ChargeDebt") && member_call) ||
+    if ((((tok.text == "Charge" || tok.text == "ChargeDebt" ||
+           tok.text == "ChargeRepeated") &&
+          member_call) ||
          tok.text == "ChargeLocal") &&
         i + 1 < t.size() && IsPunct(t[i + 1], "(")) {
       const size_t close = SkipBalanced(t, i + 1, "(", ")");
