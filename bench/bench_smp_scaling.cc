@@ -13,7 +13,10 @@
 //     pools should scale near-linearly until the load is absorbed.
 //
 // Every configuration runs twice with the same seed; any signature mismatch
-// is a determinism failure and the bench exits non-zero.
+// is a determinism failure and the bench exits non-zero. smp_scaling.csv
+// holds one row per configuration: the table's columns plus the run's full
+// signature, so a checked-in copy pins the whole schedule, not just the
+// printed digits.
 //
 // Usage: bench_smp_scaling [--quick] [--json=FILE]
 
@@ -26,6 +29,7 @@
 #include <vector>
 
 #include "src/load/smp_benchmark_run.h"
+#include "src/metrics/table.h"
 
 namespace scio {
 namespace {
@@ -99,6 +103,22 @@ void PrintTable(const char* title, const std::vector<Row>& rows) {
         row.r.wakeups_per_accept,
         static_cast<unsigned long long>(row.r.context_switches),
         row.r.cpu_utilization);
+  }
+}
+
+std::string Fixed(double value, int precision) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
+  return buf;
+}
+
+void AddCsvRows(Table& csv, const char* phase, const std::vector<Row>& rows) {
+  for (const Row& row : rows) {
+    csv.AddRow({phase, row.server, row.r.mode, std::to_string(row.r.workers),
+                Fixed(row.r.reply_avg, 1), Fixed(row.r.error_pct, 2),
+                std::to_string(row.r.total_accepted), Fixed(row.r.wakeups_per_accept, 3),
+                std::to_string(row.r.context_switches), Fixed(row.r.cpu_utilization, 3),
+                "\"" + row.r.signature + "\""});
   }
 }
 
@@ -191,6 +211,12 @@ int main(int argc, char** argv) {
     }
   }
   PrintTable("== Scaling sweep: 4500 conn/s offered, gigabit link ==", scaling_rows);
+
+  Table csv({"phase", "server", "mode", "n", "replies_per_s", "err_pct", "accepts",
+             "wakeups_per_accept", "ctx_switches", "cpu_util", "signature"});
+  AddCsvRows(csv, "herd", herd_rows);
+  AddCsvRows(csv, "scaling", scaling_rows);
+  csv.WriteCsvFile("smp_scaling.csv");
 
   // --- acceptance checks -------------------------------------------------------
   // (a) wake-all herd grows with N; (b) wake-one stays ~1; (c) sharded

@@ -1,9 +1,10 @@
-# Golden check for one figure bench: run it in a fresh working directory and
+# Golden check for one bench: run it in a fresh working directory and
 # byte-compare every CSV it writes against the checked-in copy in results/.
 #
 #   cmake -DBENCH=<binary> -DWORKDIR=<dir> -DRESULTS=<repo>/results \
-#         -P bench/golden_check.cmake
+#         [-DARGS=<arg;arg...>] -P bench/golden_check.cmake
 #
+# ARGS, if given, is the bench's argument list (e.g. --quick).
 # The bench's stdout is kept in <dir>/stdout.txt for a failed comparison.
 
 foreach(var BENCH WORKDIR RESULTS)
@@ -14,7 +15,7 @@ endforeach()
 
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
-execute_process(COMMAND "${BENCH}"
+execute_process(COMMAND "${BENCH}" ${ARGS}
                 WORKING_DIRECTORY "${WORKDIR}"
                 OUTPUT_FILE "${WORKDIR}/stdout.txt"
                 RESULT_VARIABLE rc)

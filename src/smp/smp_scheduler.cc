@@ -2,13 +2,10 @@
 
 #include <cassert>
 
+#include "src/smp/fiber.h"
+
 namespace scio {
 namespace {
-
-// Identifies the worker a thread belongs to. The scheduler's main (calling)
-// thread and event callbacks executed while a worker steps the simulator all
-// run on some thread, but only threads spawned by WorkerMain get an index.
-thread_local int tls_worker = -1;
 
 // Deterministic LCG for seeded tie-breaking (same constants as PCG's
 // default multiplier; any full-period LCG works).
@@ -25,14 +22,7 @@ SmpScheduler::SmpScheduler(SimKernel* kernel, int cpus, uint64_t seed)
       cpu_last_worker_(static_cast<size_t>(cpus < 1 ? 1 : cpus), -1),
       cpu_ledgers_(static_cast<size_t>(cpus < 1 ? 1 : cpus)) {}
 
-SmpScheduler::~SmpScheduler() {
-  assert(!running_ && "destroying a scheduler mid-Run()");
-  for (auto& ctx : ctxs_) {
-    if (ctx->thread.joinable()) {
-      ctx->thread.join();
-    }
-  }
-}
+SmpScheduler::~SmpScheduler() { assert(!running_ && "destroying a scheduler mid-Run()"); }
 
 void SmpScheduler::AddWorker(Process* proc, std::function<void()> body) {
   assert(!running_ && "workers must be added before Run()");
@@ -44,53 +34,56 @@ void SmpScheduler::AddWorker(Process* proc, std::function<void()> body) {
 }
 
 void SmpScheduler::Run() {
-  assert(tls_worker == -1 && "Run() must not be called from a worker");
+  assert(current_ == kMain && "Run() must not be called from a worker");
   if (ctxs_.empty()) {
     return;
   }
+  Fiber main;
+  for (size_t i = 0; i < ctxs_.size(); ++i) {
+    ctxs_[i]->fiber = std::make_unique<Fiber>([this, i] { WorkerMain(static_cast<int>(i)); });
+  }
+  main_ = &main;
   running_ = true;
   kernel_->set_smp(this);
-  for (size_t i = 0; i < ctxs_.size(); ++i) {
-    ctxs_[i]->thread = std::thread([this, i] { WorkerMain(static_cast<int>(i)); });
-  }
   // Hand the baton to the first worker; we are granted it back only when
   // every worker body has returned.
   Reschedule(kMain);
-  for (auto& ctx : ctxs_) {
-    ctx->thread.join();
-    assert(ctx->state == State::kDone);
-  }
   kernel_->set_smp(nullptr);
   running_ = false;
+  main_ = nullptr;
+  for (auto& ctx : ctxs_) {
+    assert(ctx->state == State::kDone);
+    ctx->fiber.reset();
+  }
 }
 
-bool SmpScheduler::InWorkerContext() const { return running_ && tls_worker >= 0; }
+bool SmpScheduler::InWorkerContext() const { return running_ && current_ >= 0; }
 
 void SmpScheduler::OnCharge(SimDuration total) {
-  Ctx& me = *ctxs_[tls_worker];
+  Ctx& me = *ctxs_[current_];
   me.local_time += total;
   if (cpu_free_at_[me.cpu] < me.local_time) {
     cpu_free_at_[me.cpu] = me.local_time;
   }
   // Yield: another worker whose CPU is free earlier may run first; the fast
   // path (we are still the earliest runnable) returns without a handoff.
-  Reschedule(tls_worker);
+  Reschedule(current_);
 }
 
 bool SmpScheduler::OnBlock(Process& proc, SimTime deadline) {
-  Ctx& me = *ctxs_[tls_worker];
+  Ctx& me = *ctxs_[current_];
   assert(me.proc == &proc && "a worker may only block its own process");
   (void)proc;
   me.state = State::kBlocked;
   me.block_deadline = deadline;
-  Reschedule(tls_worker);
+  Reschedule(current_);
   // Granted again: either the wake flag is set, the deadline passed, or the
   // kernel stopped (flag stays false for the latter two).
   return me.proc->woken();
 }
 
 void SmpScheduler::OnAttribute(ChargeCat cat, SimDuration d) {
-  cpu_ledgers_[ctxs_[tls_worker]->cpu].Add(cat, d);
+  cpu_ledgers_[ctxs_[current_]->cpu].Add(cat, d);
 }
 
 void SmpScheduler::ChargeLocal(Ctx& ctx, ChargeCat cat, SimDuration d) {
@@ -161,16 +154,17 @@ void SmpScheduler::Reschedule(int cur) {
         ++ties;
       }
     }
-    if (next >= 0 && ties > 1) {
-      std::vector<int> tied;
-      tied.reserve(static_cast<size_t>(ties));
+    if (ties > 1) {
+      // One LCG step picks the k-th of the tied workers in index order.
+      rr_cursor_ = rr_cursor_ * kLcgMul + kLcgInc;
+      uint64_t k = (rr_cursor_ >> 33) % static_cast<uint64_t>(ties);
       for (size_t i = 0; i < ctxs_.size(); ++i) {
-        if (ctxs_[i]->state == State::kReady && RunnableAt(*ctxs_[i]) == next_at) {
-          tied.push_back(static_cast<int>(i));
+        if (ctxs_[i]->state == State::kReady && RunnableAt(*ctxs_[i]) == next_at &&
+            k-- == 0) {
+          next = static_cast<int>(i);
+          break;
         }
       }
-      rr_cursor_ = rr_cursor_ * kLcgMul + kLcgInc;
-      next = tied[(rr_cursor_ >> 33) % tied.size()];
     }
 
     if (next < 0) {
@@ -252,24 +246,19 @@ void SmpScheduler::Reschedule(int cur) {
 }
 
 void SmpScheduler::HandOff(int cur, int next) {
-  std::unique_lock<std::mutex> lk(mu_);
-  active_ = next;
-  cv_.notify_all();
+  Fiber& from = cur == kMain ? *main_ : *ctxs_[cur]->fiber;
+  Fiber& to = next == kMain ? *main_ : *ctxs_[next]->fiber;
+  current_ = next;
   if (cur != kMain && ctxs_[cur]->state == State::kDone) {
-    return;  // a finished worker hands the baton off and exits
+    from.ExitTo(to);  // a finished worker hands the baton off for good
   }
-  cv_.wait(lk, [this, cur] { return active_ == cur; });
+  from.SwitchTo(to);
 }
 
 void SmpScheduler::WorkerMain(int index) {
-  tls_worker = index;
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [this, index] { return active_ == index; });
-  }
   ctxs_[index]->body();
   ctxs_[index]->state = State::kDone;
-  // Pass the baton on (to another worker or back to Run()); does not wait.
+  // Pass the baton on (to another worker or back to Run()); never returns.
   Reschedule(index);
 }
 

@@ -1,10 +1,11 @@
 // SmpScheduler: a deterministic round-robin scheduler for N virtual CPUs.
 //
-// The simulator stays single-threaded in spirit: worker bodies run on real
-// std::threads only because each body is a deep blocking call stack (a server
-// Run() loop inside simulated syscalls) that needs its own stack to suspend,
-// but exactly ONE thread executes at any instant. The baton is handed off
-// under a mutex/condvar pair, so there is no concurrency — only cooperative
+// The simulator stays single-threaded: each worker body is a deep blocking
+// call stack (a server Run() loop inside simulated syscalls) that needs its
+// own stack to suspend on, so each runs on a user-space Fiber (a ucontext_t
+// on its own mmap'd stack), and exactly one context executes at any
+// instant. Passing the baton is one swapcontext() on the host thread that
+// called Run(): no OS thread, no lock, no concurrency — only cooperative
 // context switching, which keeps every seeded run bit-identical.
 //
 // Time model: each worker owns a local CPU clock (`local_time`). A worker's
@@ -24,12 +25,9 @@
 #ifndef SRC_SMP_SMP_SCHEDULER_H_
 #define SRC_SMP_SMP_SCHEDULER_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "src/kernel/sim_kernel.h"
@@ -37,6 +35,8 @@
 #include "src/trace/time_attribution.h"
 
 namespace scio {
+
+class Fiber;
 
 class SmpScheduler : public SmpPlane {
  public:
@@ -54,8 +54,9 @@ class SmpScheduler : public SmpPlane {
   void AddWorker(Process* proc, std::function<void()> body);
 
   // Run every worker to completion. Attaches itself as the kernel's SMP
-  // plane for the duration. Blocks the calling thread (which must not be a
-  // worker) until all worker bodies have returned.
+  // plane for the duration. Returns to the caller (which must not be a
+  // worker) once all worker bodies have returned. Throws std::system_error
+  // if a worker stack cannot be mapped.
   void Run();
 
   // --- SmpPlane ------------------------------------------------------------
@@ -76,7 +77,7 @@ class SmpScheduler : public SmpPlane {
   struct Ctx {
     Process* proc = nullptr;
     std::function<void()> body;
-    std::thread thread;
+    std::unique_ptr<Fiber> fiber;    // exists during Run()
     State state = State::kReady;
     SimTime local_time = 0;          // this worker's CPU clock
     SimTime block_deadline = 0;      // valid while kBlocked
@@ -100,8 +101,10 @@ class SmpScheduler : public SmpPlane {
   // Pick the next worker and hand the baton over (or return immediately if
   // the caller keeps it). `cur` is the yielding context (kMain for Run()).
   void Reschedule(int cur);
-  // Baton handoff: wake `next`'s thread, sleep until `cur` is granted again.
+  // Baton handoff: switch from `cur`'s context to `next`'s; returns when
+  // `cur` is granted again (never, for a finished worker).
   void HandOff(int cur, int next);
+  // A worker fiber's whole life: run the body, then pass the baton on.
   void WorkerMain(int index);
 
   SimKernel* kernel_;
@@ -113,9 +116,8 @@ class SmpScheduler : public SmpPlane {
   std::vector<TimeAttribution> cpu_ledgers_;
   bool running_ = false;
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int active_ = kMain;  // which context may execute right now
+  Fiber* main_ = nullptr;  // Run()'s own context, during Run()
+  int current_ = kMain;    // the context executing right now
 };
 
 }  // namespace scio

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/kernel/sim_kernel.h"
@@ -164,6 +165,134 @@ TEST(SmpScheduler, ChargeRunHorizonIsZeroInsideAWorker) {
   EXPECT_EQ(in_worker, 0u);
   EXPECT_EQ(sched.cpu_ledger(0)[ChargeCat::kDevpollScan], Micros(10))
       << "a run in worker context still lands on the worker's CPU ledger";
+  EXPECT_EQ(kernel.attribution().Sum(), kernel.busy_time());
+}
+
+TEST(SmpScheduler, WorkerStackLocalsSurviveManyHandoffs) {
+  // Every worker charge is a scheduling point: each charge below may switch
+  // to the other worker and back, and the sum must come back intact.
+  Simulator sim;
+  SimKernel kernel(&sim);
+  Process& a = kernel.CreateProcess("a");
+  Process& b = kernel.CreateProcess("b");
+
+  constexpr int kCharges = 1000;
+  std::vector<int> order;
+  uint64_t sums[2] = {0, 0};
+  SmpScheduler sched(&kernel, /*cpus=*/2, /*seed=*/3);
+  for (int w = 0; w < 2; ++w) {
+    sched.AddWorker(w == 0 ? &a : &b, [&, w] {
+      volatile uint64_t sum = 0;  // in memory on this worker's stack
+      for (int i = 1; i <= kCharges; ++i) {
+        sum = sum + static_cast<uint64_t>(i) * static_cast<uint64_t>(w + 1);
+        order.push_back(w);
+        kernel.Charge(Micros(1), ChargeCat::kOther);
+      }
+      sums[w] = sum;
+    });
+  }
+  sched.Run();
+
+  constexpr uint64_t kTriangle = uint64_t{kCharges} * (kCharges + 1) / 2;
+  EXPECT_EQ(sums[0], kTriangle);
+  EXPECT_EQ(sums[1], 2 * kTriangle);
+  ASSERT_EQ(order.size(), 2u * kCharges);
+  int switches = 0;
+  for (size_t i = 1; i < order.size(); ++i) {
+    switches += order[i] != order[i - 1] ? 1 : 0;
+  }
+  EXPECT_GT(switches, kCharges) << "the two workers ran interleaved, not in turn";
+}
+
+TEST(SmpScheduler, WorkerBodyUsesAMegabyteOfStackAcrossCharges) {
+  // A worker's stack is as deep as a thread's: a 1 MB frame fits and keeps
+  // its contents across handoffs to the other worker.
+  Simulator sim;
+  SimKernel kernel(&sim);
+  Process& a = kernel.CreateProcess("a");
+  Process& b = kernel.CreateProcess("b");
+
+  constexpr size_t kBytes = size_t{1} << 20;
+  constexpr size_t kStride = 4096;
+  bool intact[2] = {false, false};
+  SmpScheduler sched(&kernel, /*cpus=*/2, /*seed=*/1);
+  for (int w = 0; w < 2; ++w) {
+    sched.AddWorker(w == 0 ? &a : &b, [&, w] {
+      unsigned char block[kBytes];
+      volatile unsigned char* bytes = block;
+      const auto mark = [w](size_t off) {
+        return static_cast<unsigned char>(off / kStride + static_cast<size_t>(w));
+      };
+      for (size_t off = 0; off < kBytes; off += kStride) {
+        bytes[off] = mark(off);
+        kernel.Charge(Micros(1), ChargeCat::kOther);
+      }
+      bool ok = true;
+      for (size_t off = 0; off < kBytes; off += kStride) {
+        ok = ok && bytes[off] == mark(off);
+      }
+      intact[w] = ok;
+    });
+  }
+  sched.Run();
+  EXPECT_TRUE(intact[0]);
+  EXPECT_TRUE(intact[1]);
+}
+
+TEST(SmpScheduler, RunsOwnContextIsNotAWorker) {
+  Simulator sim;
+  SimKernel kernel(&sim);
+  Process& a = kernel.CreateProcess("a");
+  SmpScheduler sched(&kernel, /*cpus=*/1, /*seed=*/1);
+
+  // The first context switch occupies the CPU for 5 µs, so Run() steps this
+  // event on its own context before granting the worker anything. The
+  // kernel agrees: only outside a worker may charges be deferred.
+  std::vector<std::string> log;
+  uint64_t event_horizon = 0;
+  sim.ScheduleAt(0, [&] {
+    log.push_back(sched.InWorkerContext() ? "event:worker" : "event:main");
+    event_horizon = kernel.DeferrableCharges(Micros(1));
+  });
+  sched.AddWorker(&a, [&] {
+    log.push_back(sched.InWorkerContext() ? "body:worker" : "body:main");
+  });
+  sched.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"event:main", "body:worker"}));
+  EXPECT_GT(event_horizon, 0u);
+
+  EXPECT_FALSE(sched.InWorkerContext());
+  // A charge after Run() takes the single-CPU path: it moves the global clock.
+  const SimTime before = kernel.now();
+  kernel.Charge(Millis(1), ChargeCat::kOther);
+  EXPECT_EQ(kernel.now(), before + Millis(1));
+}
+
+TEST(SmpScheduler, BackToBackSchedulersOnOneKernelGiveIdenticalLedgers) {
+  Simulator sim;
+  SimKernel kernel(&sim);
+  std::vector<Process*> procs;
+  for (int i = 0; i < 3; ++i) {
+    procs.push_back(&kernel.CreateProcess("w" + std::to_string(i)));
+  }
+  const auto run_once = [&] {
+    SmpScheduler sched(&kernel, /*cpus=*/2, /*seed=*/9);
+    for (int i = 0; i < 3; ++i) {
+      sched.AddWorker(procs[static_cast<size_t>(i)], [&kernel, i] {
+        for (int k = 0; k < 50; ++k) {
+          kernel.Charge(Micros(1 + i), ChargeCat::kHttpParse);
+          kernel.Charge(Micros(2), ChargeCat::kHttpRespond);
+        }
+      });
+    }
+    sched.Run();
+    return std::vector<std::string>{sched.cpu_ledger(0).Signature(),
+                                    sched.cpu_ledger(1).Signature()};
+  };
+  const std::vector<std::string> first = run_once();
+  const std::vector<std::string> second = run_once();
+  EXPECT_EQ(first, second);
+  EXPECT_NE(first[0], first[1]) << "both CPUs ran work, pinned differently";
   EXPECT_EQ(kernel.attribution().Sum(), kernel.busy_time());
 }
 
