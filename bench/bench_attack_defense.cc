@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "src/load/benchmark_run.h"
-#include "src/load/smp_benchmark_run.h"
 #include "src/metrics/table.h"
 
 namespace scio {
@@ -162,28 +161,6 @@ FilterRule StaticGlobalLimit() {
   return rule;
 }
 
-// BenchmarkRunConfig and SmpBenchmarkConfig share the ingress-defense field
-// names, so one template covers both.
-template <typename Config>
-void ApplyPosture(Config* config, Posture posture) {
-  switch (posture) {
-    case Posture::kNoFilter:
-      break;
-    case Posture::kStatic:
-      config->static_rules.push_back(StaticGlobalLimit());
-      config->server_config.syn_backlog.syncookies = true;
-      break;
-    case Posture::kAdaptive:
-      config->adaptive_defense = true;
-      // React within the attack window: control ticks every 200ms, and
-      // anything still reading its request after 500ms (benign requests
-      // finish in milliseconds) is drip-fed and gets reaped.
-      config->defense.tick_interval = Millis(200);
-      config->defense.request_deadline = Millis(500);
-      break;
-  }
-}
-
 BenchmarkRunConfig MakeConfig(const Layout& layout, const Campaign& campaign,
                               ServerKind server, Posture posture) {
   BenchmarkRunConfig config;
@@ -197,28 +174,35 @@ BenchmarkRunConfig MakeConfig(const Layout& layout, const Campaign& campaign,
   config.drain = layout.drain;
   config.attack = campaign.attack;
   config.server_max_fds = kServerMaxFds;
-  ApplyPosture(&config, posture);
+  switch (posture) {
+    case Posture::kNoFilter:
+      break;
+    case Posture::kStatic:
+      config.static_rules.push_back(StaticGlobalLimit());
+      config.server_config.syn_backlog.syncookies = true;
+      break;
+    case Posture::kAdaptive:
+      config.adaptive_defense = true;
+      // React within the attack window: control ticks every 200ms, and
+      // anything still reading its request after 500ms (benign requests
+      // finish in milliseconds) is drip-fed and gets reaped.
+      config.defense.tick_interval = Millis(200);
+      config.defense.request_deadline = Millis(500);
+      break;
+  }
   return config;
 }
 
-SmpBenchmarkConfig MakeSmpConfig(const Layout& layout, const Campaign& campaign,
+// The same cell on a sharded 4-worker thttpd-devpoll pool.
+BenchmarkRunConfig MakeSmpConfig(const Layout& layout, const Campaign& campaign,
                                  Posture posture) {
-  SmpBenchmarkConfig config;
-  config.server = ServerKind::kThttpdDevPoll;
+  BenchmarkRunConfig config =
+      MakeConfig(layout, campaign, ServerKind::kThttpdDevPoll, posture);
   config.mode = ListenerMode::kSharded;
   config.workers = 4;
   config.cpus = 4;
   config.seed = 29;
-  config.worker_max_fds = kSmpWorkerMaxFds;
-  config.active.request_rate = 600.0;
-  config.active.duration = layout.duration;
-  config.active.seed = 11;
-  config.active.max_retries = 3;
-  config.inactive.connections = 50;
-  config.warmup = layout.warmup;
-  config.drain = layout.drain;
-  config.attack = campaign.attack;
-  ApplyPosture(&config, posture);
+  config.server_max_fds = kSmpWorkerMaxFds;
   return config;
 }
 
@@ -410,8 +394,7 @@ int main(int argc, char** argv) {
   for (const Campaign& campaign : campaigns) {
     double no_filter_mean = 0;
     for (Posture posture : postures) {
-      const SmpBenchmarkResult result =
-          RunSmpBenchmark(MakeSmpConfig(layout, campaign, posture));
+      const BenchmarkResult result = RunBenchmark(MakeSmpConfig(layout, campaign, posture));
       if (!result.setup_ok) {
         smp_table.AddRow({campaign.name, PostureName(posture), "-", "-", "-", "-",
                           "-", "-", "-", "FAIL(setup)"});
@@ -469,10 +452,9 @@ int main(int argc, char** argv) {
     }
   }
   {
-    const SmpBenchmarkConfig config =
+    const BenchmarkRunConfig config =
         MakeSmpConfig(layout, campaigns.front(), Posture::kAdaptive);
-    const bool identical =
-        RunSmpBenchmark(config).signature == RunSmpBenchmark(config).signature;
+    const bool identical = RunBenchmark(config).signature == RunBenchmark(config).signature;
     std::cout << "  " << campaigns.front().name << " (adaptive, sharded x4): "
               << (identical ? "identical" : "DIVERGED") << "\n";
     if (!identical) {

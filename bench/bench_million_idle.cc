@@ -205,66 +205,15 @@ PointResult RunPoint(ServerKind kind, size_t target, bool with_transport) {
   StaticContent content;
   content.AddDocument("/index.html", 6 * 1024);
 
-  ServerConfig server_config;
-  server_config.listen_backlog = static_cast<int>(kConnectBatch) * 2;
-  server_config.syn_backlog.max_half_open = static_cast<int>(kConnectBatch) * 2;
+  BenchmarkRunConfig config;
+  config.server = kind;
+  config.server_config.listen_backlog = static_cast<int>(kConnectBatch) * 2;
+  config.server_config.syn_backlog.max_half_open = static_cast<int>(kConnectBatch) * 2;
   // The fleet is idle by design; only the sweep machinery should tick.
-  server_config.idle_timeout = Seconds(1000000);
-
-  bool setup_ok = true;
-  std::unique_ptr<HttpServerBase> server;
-  switch (kind) {
-    case ServerKind::kThttpdPoll:
-      server = std::make_unique<ThttpdPoll>(&sys, &content, server_config,
-                                            PollSyscallOptions{});
-      setup_ok = server->Setup() >= 0;
-      break;
-    case ServerKind::kThttpdDevPoll: {
-      auto s = std::make_unique<ThttpdDevPoll>(&sys, &content, server_config,
-                                               ThttpdDevPollConfig{});
-      setup_ok = s->Setup() >= 0 && s->SetupDevPoll() >= 0;
-      server = std::move(s);
-      break;
-    }
-    case ServerKind::kPhhttpd: {
-      auto s = std::make_unique<Phhttpd>(&sys, &content, server_config,
-                                         PhhttpdConfig{});
-      setup_ok = s->Setup() >= 0;
-      if (setup_ok) {
-        s->SetupSignals();
-      }
-      server = std::move(s);
-      break;
-    }
-    case ServerKind::kHybrid: {
-      auto s = std::make_unique<HybridServer>(&sys, &content, server_config,
-                                              ThttpdDevPollConfig{},
-                                              HybridServerConfig{});
-      setup_ok = s->Setup() >= 0 && s->SetupDevPoll() >= 0;
-      if (setup_ok) {
-        s->SetupHybrid();
-      }
-      server = std::move(s);
-      break;
-    }
-    case ServerKind::kThttpdEpoll:
-    case ServerKind::kThttpdEpollEt: {
-      ThttpdEpollConfig ep;
-      ep.edge_triggered = kind == ServerKind::kThttpdEpollEt;
-      auto s = std::make_unique<ThttpdEpoll>(&sys, &content, server_config, ep);
-      setup_ok = s->Setup() >= 0 && s->SetupEpoll() >= 0;
-      server = std::move(s);
-      break;
-    }
-    case ServerKind::kPhhttpdKqueue: {
-      auto s = std::make_unique<PhhttpdKqueue>(&sys, &content, server_config,
-                                               PhhttpdKqueueConfig{});
-      setup_ok = s->Setup() >= 0 && s->SetupKqueue() >= 0;
-      server = std::move(s);
-      break;
-    }
-  }
-  if (!setup_ok) {
+  config.server_config.idle_timeout = Seconds(1000000);
+  const std::unique_ptr<HttpServerBase> server =
+      MakeServer(config, &sys, &content, /*wake_one=*/false);
+  if (server->Setup() < 0 || server->SetupEvents() < 0) {
     return r;
   }
   r.setup_ok = true;

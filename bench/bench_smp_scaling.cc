@@ -28,19 +28,19 @@
 #include <string>
 #include <vector>
 
-#include "src/load/smp_benchmark_run.h"
+#include "src/load/benchmark_run.h"
 #include "src/metrics/table.h"
 
 namespace scio {
 namespace {
 
 struct Row {
-  SmpBenchmarkResult r;
+  BenchmarkResult r;
   std::string server;
 };
 
-SmpBenchmarkConfig BaseConfig(ServerKind server, ListenerMode mode, int n, bool quick) {
-  SmpBenchmarkConfig config;
+BenchmarkRunConfig BaseConfig(ServerKind server, ListenerMode mode, int n, bool quick) {
+  BenchmarkRunConfig config;
   config.server = server;
   config.mode = mode;
   config.workers = n;
@@ -55,8 +55,8 @@ SmpBenchmarkConfig BaseConfig(ServerKind server, ListenerMode mode, int n, bool 
 
 // Phase 1: light load, large inactive population — workers sleep between
 // SYNs, so every SYN finds the whole pool on the listener's wait queue.
-SmpBenchmarkConfig HerdConfig(ServerKind server, ListenerMode mode, int n, bool quick) {
-  SmpBenchmarkConfig config = BaseConfig(server, mode, n, quick);
+BenchmarkRunConfig HerdConfig(ServerKind server, ListenerMode mode, int n, bool quick) {
+  BenchmarkRunConfig config = BaseConfig(server, mode, n, quick);
   config.active.request_rate = 600;
   config.active.duration = quick ? Seconds(2) : Seconds(5);
   config.inactive.connections = 501;
@@ -65,9 +65,9 @@ SmpBenchmarkConfig HerdConfig(ServerKind server, ListenerMode mode, int n, bool 
 
 // Phase 2: offered load well past one CPU's capacity, on a gigabit link so
 // the wire is not the bottleneck.
-SmpBenchmarkConfig ScalingConfig(ServerKind server, ListenerMode mode, int n,
+BenchmarkRunConfig ScalingConfig(ServerKind server, ListenerMode mode, int n,
                                  bool quick) {
-  SmpBenchmarkConfig config = BaseConfig(server, mode, n, quick);
+  BenchmarkRunConfig config = BaseConfig(server, mode, n, quick);
   config.active.request_rate = 4500;
   config.active.duration = quick ? Seconds(2) : Seconds(5);
   config.inactive.connections = 501;
@@ -76,11 +76,11 @@ SmpBenchmarkConfig ScalingConfig(ServerKind server, ListenerMode mode, int n,
 }
 
 // Runs the configuration twice; aborts the bench on a signature mismatch.
-SmpBenchmarkResult RunChecked(const SmpBenchmarkConfig& config, int* failures) {
+BenchmarkResult RunChecked(const BenchmarkRunConfig& config, int* failures) {
   std::cerr << "running " << ServerKindName(config.server) << " "
             << ListenerModeName(config.mode) << " n=" << config.workers << " ...\n";
-  const SmpBenchmarkResult first = RunSmpBenchmark(config);
-  const SmpBenchmarkResult second = RunSmpBenchmark(config);
+  const BenchmarkResult first = RunBenchmark(config);
+  const BenchmarkResult second = RunBenchmark(config);
   if (first.signature != second.signature) {
     std::cerr << "DETERMINISM FAILURE: " << ListenerModeName(config.mode) << " n="
               << config.workers << " " << ServerKindName(config.server)
@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
   for (ServerKind server : servers) {
     for (ListenerMode mode : modes) {
       for (int n : sizes) {
-        const SmpBenchmarkResult r =
+        const BenchmarkResult r =
             RunChecked(HerdConfig(server, mode, n, quick), &failures);
         if (!r.setup_ok) {
           std::cerr << "setup failed: herd " << ListenerModeName(mode) << " n=" << n
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
   for (ServerKind server : servers) {
     for (ListenerMode mode : modes) {
       for (int n : sizes) {
-        const SmpBenchmarkResult r =
+        const BenchmarkResult r =
             RunChecked(ScalingConfig(server, mode, n, quick), &failures);
         if (!r.setup_ok) {
           std::cerr << "setup failed: scaling " << ListenerModeName(mode) << " n=" << n

@@ -1,6 +1,8 @@
 #include "src/load/benchmark_run.h"
 
+#include <algorithm>
 #include <memory>
+#include <sstream>
 
 #include "src/load/abusive_clients.h"
 #include "src/load/httperf.h"
@@ -29,6 +31,72 @@ std::string ServerKindName(ServerKind kind) {
   }
   return "unknown";
 }
+
+std::unique_ptr<HttpServerBase> MakeServer(const BenchmarkRunConfig& config, Sys* sys,
+                                           const StaticContent* content, bool wake_one) {
+  ThttpdDevPollConfig devpoll = config.devpoll_config;
+  devpoll.devpoll.exclusive_wait = devpoll.devpoll.exclusive_wait || wake_one;
+  switch (config.server) {
+    case ServerKind::kThttpdPoll:
+      return std::make_unique<ThttpdPoll>(sys, content, config.server_config,
+                                          config.poll_options);
+    case ServerKind::kThttpdDevPoll:
+      return std::make_unique<ThttpdDevPoll>(sys, content, config.server_config, devpoll);
+    case ServerKind::kPhhttpd:
+      if (wake_one) {
+        PollSyscallOptions opts;
+        opts.exclusive_wait = true;
+        sys->poll_syscall() = PollSyscall(&sys->kernel(), &sys->proc(), opts);
+      }
+      return std::make_unique<Phhttpd>(sys, content, config.server_config,
+                                       config.phhttpd_config);
+    case ServerKind::kHybrid:
+      return std::make_unique<HybridServer>(sys, content, config.server_config, devpoll,
+                                            config.hybrid_config);
+    case ServerKind::kThttpdEpoll:
+    case ServerKind::kThttpdEpollEt: {
+      ThttpdEpollConfig epoll = config.epoll_config;
+      epoll.edge_triggered =
+          config.server == ServerKind::kThttpdEpollEt || epoll.edge_triggered;
+      return std::make_unique<ThttpdEpoll>(sys, content, config.server_config, epoll);
+    }
+    case ServerKind::kPhhttpdKqueue:
+      return std::make_unique<PhhttpdKqueue>(sys, content, config.server_config,
+                                             config.kqueue_config);
+  }
+  return nullptr;
+}
+
+namespace {
+
+std::string BuildSignature(const BenchmarkResult& r) {
+  std::ostringstream out;
+  out.precision(17);
+  out << r.attempts << '|' << r.successes << '|' << r.errors << '|' << r.pending << '|'
+      << r.total_accepted << '|' << r.listener_syn_wakeups << '|' << r.context_switches
+      << '|' << r.exclusive_adds << '|' << r.kernel_stats.syscalls << '|';
+  for (const ServerStats& s : r.worker_stats) {
+    out << s.connections_accepted << ',' << s.responses_sent << ',' << s.loop_iterations
+        << ';';
+  }
+  // Same seed must spend every nanosecond in the same place on the same CPU,
+  // not just reach the same totals.
+  out << r.attack_stats.syns_sent << '|' << r.chain_stats.connect_evals << '|'
+      << r.chain_stats.dropped << '|' << r.chain_stats.rate_limit_drops << '|'
+      << r.defense_stats.escalations << '|' << r.defense_stats.tier_peak << '|'
+      << r.syn_backlog_peak << '|';
+  out << r.attribution.Signature() << '|' << r.busy_time << '|';
+  for (SimDuration d : r.cpu_busy) {
+    out << d << ',';
+  }
+  out << '|';
+  for (double rate : r.reply_series) {
+    out << rate << ',';
+  }
+  return out.str();
+}
+
+}  // namespace
 
 BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
   Simulator sim;
@@ -60,88 +128,62 @@ BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
   if (config.transport_enabled) {
     transport = std::make_unique<TransportPlane>(&kernel, &net, config.transport);
   }
-  Process& proc = kernel.CreateProcess("server", config.server_max_fds);
-  proc.set_rt_queue_max(config.rt_queue_max);
-  Sys sys(&kernel, &proc, &net);
   StaticContent content;
   content.AddDocument("/index.html", config.document_bytes);
 
-  bool setup_ok = true;
-  std::unique_ptr<HttpServerBase> server;
-  switch (config.server) {
-    case ServerKind::kThttpdPoll:
-      server = std::make_unique<ThttpdPoll>(&sys, &content, config.server_config,
-                                            config.poll_options);
-      setup_ok = server->Setup() >= 0;
-      break;
-    case ServerKind::kThttpdDevPoll: {
-      auto s = std::make_unique<ThttpdDevPoll>(&sys, &content, config.server_config,
-                                               config.devpoll_config);
-      setup_ok = s->Setup() >= 0 && s->SetupDevPoll() >= 0;
-      server = std::move(s);
-      break;
-    }
-    case ServerKind::kPhhttpd: {
-      auto s = std::make_unique<Phhttpd>(&sys, &content, config.server_config,
-                                         config.phhttpd_config);
-      setup_ok = s->Setup() >= 0;
-      if (setup_ok) {
-        s->SetupSignals();
-      }
-      server = std::move(s);
-      break;
-    }
-    case ServerKind::kHybrid: {
-      auto s = std::make_unique<HybridServer>(&sys, &content, config.server_config,
-                                              config.devpoll_config, config.hybrid_config);
-      setup_ok = s->Setup() >= 0 && s->SetupDevPoll() >= 0;
-      if (setup_ok) {
-        s->SetupHybrid();
-      }
-      server = std::move(s);
-      break;
-    }
-    case ServerKind::kThttpdEpoll:
-    case ServerKind::kThttpdEpollEt: {
-      ThttpdEpollConfig ep = config.epoll_config;
-      ep.edge_triggered =
-          config.server == ServerKind::kThttpdEpollEt || ep.edge_triggered;
-      auto s = std::make_unique<ThttpdEpoll>(&sys, &content, config.server_config, ep);
-      setup_ok = s->Setup() >= 0 && s->SetupEpoll() >= 0;
-      server = std::move(s);
-      break;
-    }
-    case ServerKind::kPhhttpdKqueue: {
-      auto s = std::make_unique<PhhttpdKqueue>(&sys, &content, config.server_config,
-                                               config.kqueue_config);
-      setup_ok = s->Setup() >= 0 && s->SetupKqueue() >= 0;
-      server = std::move(s);
-      break;
-    }
-  }
-  if (!setup_ok) {
-    BenchmarkResult failed;
-    failed.setup_ok = false;
-    failed.target_rate = config.active.request_rate;
-    failed.inactive = config.inactive.connections;
-    failed.fault_stats = fault_plane.stats();
-    return failed;
+  // The inline testbed is a one-worker pool that is never scheduled.
+  const bool pooled = config.workers > 0;
+  WorkerPoolConfig pool_config;
+  pool_config.workers = pooled ? config.workers : 1;
+  pool_config.cpus = pooled ? config.cpus : 1;
+  pool_config.mode = config.mode;
+  pool_config.worker_max_fds = config.server_max_fds;
+  pool_config.seed = config.seed;
+  pool_config.rt_queue_max = config.rt_queue_max;
+  const bool wake_one = config.mode == ListenerMode::kSharedWakeOne;
+  WorkerPool pool(&kernel, &net, pool_config, [&config, &content, wake_one](Sys* sys) {
+    return MakeServer(config, sys, &content, wake_one);
+  });
+
+  BenchmarkResult result;
+  result.target_rate = config.active.request_rate;
+  result.inactive = config.inactive.connections;
+  result.workers = config.workers;
+  result.cpus = config.cpus;
+  result.mode = ListenerModeName(config.mode);
+  if (pool.Setup() < 0) {
+    result.setup_ok = false;
+    result.fault_stats = fault_plane.stats();
+    return result;
   }
 
-  auto listener = sys.listener(server->listener_fd());
+  // The distinct listeners: the shared one, or one per shard. One defense
+  // spans them all, and every server reports into it.
+  std::vector<std::shared_ptr<SimListener>> shards;
+  for (int i = 0; i < pool.workers(); ++i) {
+    auto shard = pool.sys(i).listener(pool.server(i).listener_fd());
+    if (std::find(shards.begin(), shards.end(), shard) == shards.end()) {
+      shards.push_back(std::move(shard));
+    }
+  }
   std::unique_ptr<AdaptiveDefense> defense;
   if (config.adaptive_defense) {
     defense = std::make_unique<AdaptiveDefense>(&kernel, chain.get(), config.defense);
-    defense->AddListener(listener);
-    server->set_defense(defense.get());
+    for (const auto& shard : shards) {
+      defense->AddListener(shard);
+    }
+    for (int i = 0; i < pool.workers(); ++i) {
+      pool.server(i).set_defense(defense.get());
+    }
   }
-  InactivePool pool(&net, listener, config.inactive);
+  const std::shared_ptr<SimListener>& listener = pool.head_listener();
+  InactivePool inactive(&net, listener, config.inactive);
   HttperfGenerator generator(&net, listener, config.active);
   AbusiveFleet abusive(&net, listener, config.abusive);
   AttackCampaign attack(&net, listener, config.attack);
 
   attack.Start();
-  pool.Start();
+  inactive.Start();
   if (abusive.enabled()) {
     const SimTime abusive_start = config.abusive.start_at;
     const SimDuration abusive_for =
@@ -152,26 +194,30 @@ BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
   }
   generator.Start(config.warmup);
   const SimTime until = config.warmup + config.active.duration + config.drain;
-  server->Run(until);
-  pool.Shutdown();
+  // The one fork: inline, the server's loop runs straight on the event
+  // engine; pooled, the SmpScheduler interleaves the workers' loops.
+  if (pooled) {
+    pool.Run(until);
+  } else {
+    pool.server(0).Run(until);
+  }
+  inactive.Shutdown();
   abusive.Shutdown();
   attack.Shutdown();
   kernel.RequestStop();
 
   // --- reduction ---------------------------------------------------------------
-  BenchmarkResult result;
-  result.target_rate = config.active.request_rate;
-  result.inactive = config.inactive.connections;
-
-  RateSeries replies(config.sample_width, config.active.duration + config.drain);
+  // Only samples inside the generation window count (the drain tail would
+  // drag the average down even for a perfect server).
   PercentileTracker conn_times;
   conn_times.Reserve(generator.records().size());
+  RateSeries window(config.sample_width, config.active.duration);
   for (const ConnRecord& record : generator.records()) {
     ++result.attempts;
     switch (record.outcome) {
       case ConnOutcome::kOk:
         ++result.successes;
-        replies.Add(record.end - config.warmup);
+        window.Add(record.end - config.warmup);
         conn_times.Add(ToMillis(record.ConnTime()));
         break;
       case ConnOutcome::kPending:
@@ -180,14 +226,6 @@ BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
       default:
         ++result.errors;
         break;
-    }
-  }
-  // Only samples inside the generation window count (the drain tail would
-  // drag the average down even for a perfect server).
-  RateSeries window(config.sample_width, config.active.duration);
-  for (const ConnRecord& record : generator.records()) {
-    if (record.outcome == ConnOutcome::kOk) {
-      window.Add(record.end - config.warmup);
     }
   }
   const StreamingStats rate_stats = window.Summary();
@@ -204,22 +242,44 @@ BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
   result.p90_conn_ms = conn_times.Percentile(90.0);
 
   result.kernel_stats = kernel.stats();
-  result.server_stats = server->stats();
-  result.attribution = kernel.attribution();
-  result.busy_time = kernel.busy_time();
-  result.cpu_utilization =
-      kernel.now() == 0 ? 0.0
-                        : static_cast<double>(kernel.busy_time()) / static_cast<double>(kernel.now());
-  result.rt_queue_peak = proc.rt_queue_peak();
-  result.inactive_reconnects = pool.reconnects();
-  result.trickle_bytes = pool.trickle_bytes_sent();
-  if (auto* ph = dynamic_cast<Phhttpd*>(server.get())) {
+  for (int i = 0; i < pool.workers(); ++i) {
+    const ServerStats& stats = pool.server(i).stats();
+    result.worker_stats.push_back(stats);
+    result.total_accepted += stats.connections_accepted;
+    result.rt_queue_peak = std::max(result.rt_queue_peak, pool.proc(i).rt_queue_peak());
+  }
+  const HttpServerBase& first = pool.server(0);
+  result.server_stats = first.stats();
+  if (const auto* ph = dynamic_cast<const Phhttpd*>(&first)) {
     result.phhttpd_fell_back_to_poll = ph->in_poll_fallback();
   }
   result.hybrid_mode_switches = result.server_stats.mode_switches;
-  if (auto* hybrid = dynamic_cast<HybridServer*>(server.get())) {
+  if (const auto* hybrid = dynamic_cast<const HybridServer*>(&first)) {
     result.hybrid_in_signal_mode = hybrid->mode() == EventMode::kSignals;
   }
+  result.listener_syn_wakeups = kernel.stats().wait_listener_syn_wakeups;
+  result.wakeups_per_accept =
+      result.total_accepted == 0
+          ? 0.0
+          : static_cast<double>(result.listener_syn_wakeups) /
+                static_cast<double>(result.total_accepted);
+  result.context_switches = kernel.stats().smp_context_switches;
+  result.exclusive_adds = kernel.stats().wait_exclusive_adds;
+
+  result.attribution = kernel.attribution();
+  result.busy_time = kernel.busy_time();
+  if (pool.scheduler() != nullptr) {
+    for (int cpu = 0; cpu < pool.scheduler()->cpus(); ++cpu) {
+      result.cpu_busy.push_back(pool.scheduler()->cpu_ledger(cpu).Sum());
+    }
+  }
+  result.cpu_utilization =
+      kernel.now() == 0 ? 0.0
+                        : static_cast<double>(kernel.busy_time()) /
+                              (static_cast<double>(kernel.now()) * pool_config.cpus);
+  result.inactive_reconnects = inactive.reconnects();
+  result.trickle_bytes = inactive.trickle_bytes_sent();
+
   result.fault_stats = fault_plane.stats();
   result.client_retries = generator.retries();
   result.abusive_aborts = abusive.aborts_completed();
@@ -234,7 +294,11 @@ BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
   if (transport != nullptr) {
     result.transport_stats = transport->stats();
   }
-  result.syn_backlog_peak = listener->syn_backlog_peak();
+  for (const auto& shard : shards) {
+    result.syn_backlog_peak =
+        std::max<uint64_t>(result.syn_backlog_peak, shard->syn_backlog_peak());
+  }
+  result.signature = BuildSignature(result);
 
   // `sim` outlives `net` on unwind; drop undelivered events (which hold
   // sockets that release ports on destruction) while the stack is alive.

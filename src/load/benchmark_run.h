@@ -1,14 +1,23 @@
-// BenchmarkRun: one point on a paper figure.
+// BenchmarkRun: one point on a paper figure or on the SMP scaling figure.
 //
-// Assembles the whole testbed — simulator, kernel, network, server process,
-// inactive pool, httperf generator — runs it, and reduces the records to the
-// quantities the paper plots: average/min/max/stddev reply rate over
-// periodic samples (FIGS 4-9, 11-13), error percentage (FIG 10), and median
-// connection time (FIG 14).
+// Assembles the whole testbed — simulator, kernel, network, server
+// processes, inactive pool, httperf generator — runs it, and reduces the
+// records to the quantities the paper plots: average/min/max/stddev reply
+// rate over periodic samples (FIGS 4-9, 11-13), error percentage (FIG 10),
+// and median connection time (FIG 14).
+//
+// There is one testbed with two shapes. workers = 0 (the default) is the
+// paper's: one server process driven inline on one CPU. workers = N runs N
+// server processes as a WorkerPool on the SMP scheduling plane, sharing
+// inbound connections per `mode`, and adds the SMP observables: herd
+// wakeups per accepted connection, virtual context switches and per-CPU
+// ledgers. Both shapes build, set up, defend, reduce and tear down their
+// servers the same way; only the run step differs.
 
 #ifndef SRC_LOAD_BENCHMARK_RUN_H_
 #define SRC_LOAD_BENCHMARK_RUN_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,6 +35,7 @@
 #include "src/servers/thttpd_devpoll.h"
 #include "src/servers/thttpd_epoll.h"
 #include "src/servers/thttpd_poll.h"
+#include "src/servers/worker_pool.h"
 #include "src/trace/flight_recorder.h"
 #include "src/trace/time_attribution.h"
 #include "src/transport/transport_plane.h"
@@ -46,6 +56,13 @@ std::string ServerKindName(ServerKind kind);
 
 struct BenchmarkRunConfig {
   ServerKind server = ServerKind::kThttpdPoll;
+  // Pool shape. workers = 0 runs the paper's single server inline; N >= 1
+  // runs N workers on `cpus` virtual CPUs, sharing the listener per `mode`.
+  // `seed` drives the scheduler's tie-breaking and the sharded flow hash.
+  int workers = 0;
+  int cpus = 1;
+  ListenerMode mode = ListenerMode::kSharedWakeAll;
+  uint64_t seed = 0;
   ActiveWorkload active;
   InactiveWorkload inactive;
   // Torture-run knobs: an empty schedule and zero abusive populations (the
@@ -63,6 +80,8 @@ struct BenchmarkRunConfig {
   bool adaptive_defense = false;
   DefenseConfig defense;
   int filter_band_width = 1 << 16;
+  // Descriptor budget of each server process: tables are per process, so a
+  // saturated worker cannot throttle a sibling.
   int server_max_fds = 8192;
 
   // Opt-in transport plane (src/transport): per-connection TCP with real
@@ -94,14 +113,17 @@ struct BenchmarkRunConfig {
   // Optional flight recorder (borrowed; must outlive the run). When set it
   // is attached to the kernel and fault plane and receives phase marks at
   // the warmup/generate/drain boundaries. Pure observer: attaching one
-  // leaves every seeded run bit-identical.
+  // leaves every seeded run bit-identical, inline or pooled.
   FlightRecorder* recorder = nullptr;
 };
 
 struct BenchmarkResult {
-  // Offered load.
+  // Offered load / topology (the pool shape echoes the config).
   double target_rate = 0;
   int inactive = 0;
+  int workers = 0;
+  int cpus = 0;
+  std::string mode;
 
   // Reply-rate reduction (FIGS 4-9, 11-13).
   double reply_avg = 0;
@@ -120,9 +142,12 @@ struct BenchmarkResult {
   double median_conn_ms = 0;
   double p90_conn_ms = 0;
 
-  // Observability.
+  // Observability. server_stats, phhttpd_fell_back_to_poll and the hybrid_*
+  // fields describe the first server (inline: the only one); worker_stats
+  // holds every server's counters.
   KernelStats kernel_stats;
   ServerStats server_stats;
+  std::vector<ServerStats> worker_stats;
   // Where every charged nanosecond of virtual CPU went, by category.
   // Invariant: attribution.Sum() == total time charged (busy time).
   TimeAttribution attribution;
@@ -131,8 +156,19 @@ struct BenchmarkResult {
   uint64_t trickle_bytes = 0;
   bool phhttpd_fell_back_to_poll = false;
   uint64_t hybrid_mode_switches = 0;
+  // busy_time / (wall * cpus): >1 is impossible, ~1/cpus on one busy worker.
   double cpu_utilization = 0;
-  size_t rt_queue_peak = 0;
+  size_t rt_queue_peak = 0;  // worst server process
+
+  // SMP observables. The per-CPU ledgers exist only for pool runs; their
+  // total equals the busy time spent under workers.
+  uint64_t total_accepted = 0;
+  // Process wakes triggered by listener SYN notifications; the herd metric.
+  uint64_t listener_syn_wakeups = 0;
+  double wakeups_per_accept = 0;
+  uint64_t context_switches = 0;
+  uint64_t exclusive_adds = 0;
+  std::vector<SimDuration> cpu_busy;
 
   // Fault-plane observability (all zero on a fault-free run).
   FaultStats fault_stats;
@@ -153,13 +189,25 @@ struct BenchmarkResult {
   AttackStats attack_stats;
   FilterChainStats chain_stats;
   DefenseStats defense_stats;
-  uint64_t syn_backlog_peak = 0;
+  uint64_t syn_backlog_peak = 0;  // worst listener shard
 
   // Transport-plane observability (all zero when the plane is off).
   TransportStats transport_stats;
+
+  // Everything that must be bit-identical across two runs of the same seed.
+  std::string signature;
 };
 
 BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config);
+
+// Builds the server `config.server` names on `sys`, with that kind's
+// options from `config`. `wake_one` bakes in a kSharedWakeOne pool's
+// exclusive waiters: /dev/poll's for thttpd-devpoll and hybrid, poll()'s for
+// phhttpd's fallback path (its signal-mode wake-one is the listener's
+// round-robin delivery, set by the WorkerPool). The caller runs Setup() and
+// then SetupEvents().
+std::unique_ptr<HttpServerBase> MakeServer(const BenchmarkRunConfig& config, Sys* sys,
+                                           const StaticContent* content, bool wake_one);
 
 }  // namespace scio
 

@@ -1,116 +1,19 @@
-// SmpBenchmarkRun: one point on the SMP scaling figure.
-//
-// The multi-worker sibling of BenchmarkRun: assembles simulator, kernel,
-// network, an N-worker pool over the SMP scheduling plane, the inactive
-// pool, and the httperf generator, then reduces the records plus the
-// SMP-specific observables — herd wakeups per accepted connection, virtual
-// context switches, and per-CPU attribution ledgers.
+// Former names of the SMP harness, kept for callers not yet moved onto
+// RunBenchmark: a pool run is a BenchmarkRunConfig with workers > 0.
 
 #ifndef SRC_LOAD_SMP_BENCHMARK_RUN_H_
 #define SRC_LOAD_SMP_BENCHMARK_RUN_H_
 
-#include <string>
-#include <vector>
-
-#include "src/kernel/cost_model.h"
-#include "src/kernel/kernel_stats.h"
 #include "src/load/benchmark_run.h"
-#include "src/load/workload.h"
-#include "src/net/net_stack.h"
-#include "src/servers/worker_pool.h"
-#include "src/trace/time_attribution.h"
 
 namespace scio {
 
-struct SmpBenchmarkConfig {
-  // Only kThttpdDevPoll and kPhhttpd are meaningful worker bodies here;
-  // other kinds fall back to their plain single-listener setup.
-  ServerKind server = ServerKind::kThttpdDevPoll;
-  ListenerMode mode = ListenerMode::kSharedWakeAll;
-  int workers = 1;
-  int cpus = 1;
-  uint64_t seed = 0;
-  int worker_max_fds = 8192;
+using SmpBenchmarkConfig = BenchmarkRunConfig;
+using SmpBenchmarkResult = BenchmarkResult;
 
-  ActiveWorkload active;
-  InactiveWorkload inactive;
-  size_t document_bytes = 6 * 1024;
-
-  // Torture knobs, mirroring BenchmarkRunConfig: empty schedules and all-off
-  // filtering (the defaults) leave existing SMP benches bit-identical.
-  FaultSchedule faults;
-  AttackSchedule attack;
-  bool filter_enabled = false;
-  std::vector<FilterRule> static_rules;
-  bool adaptive_defense = false;
-  DefenseConfig defense;
-  int filter_band_width = 1 << 16;
-
-  SimDuration warmup = Seconds(2);
-  SimDuration drain = Seconds(4);
-  SimDuration sample_width = Seconds(1);
-
-  CostModel cost;
-  NetConfig net;
-  ServerConfig server_config;
-  ThttpdDevPollConfig devpoll_config;
-  PhhttpdConfig phhttpd_config;
-  size_t rt_queue_max = kDefaultRtQueueMax;
-};
-
-struct SmpBenchmarkResult {
-  // Offered load / topology.
-  double target_rate = 0;
-  int inactive = 0;
-  int workers = 0;
-  int cpus = 0;
-  std::string mode;
-
-  // Reply-rate reduction, as in BenchmarkResult.
-  double reply_avg = 0;
-  double reply_min = 0;
-  double reply_max = 0;
-  double reply_stddev = 0;
-  uint64_t attempts = 0;
-  uint64_t successes = 0;
-  uint64_t errors = 0;
-  uint64_t pending = 0;
-  double error_pct = 0;
-  double median_conn_ms = 0;
-  double p90_conn_ms = 0;
-  std::vector<double> reply_series;
-
-  // SMP observables.
-  uint64_t total_accepted = 0;
-  // Process wakes triggered by listener SYN notifications; the herd metric.
-  uint64_t listener_syn_wakeups = 0;
-  double wakeups_per_accept = 0;
-  uint64_t context_switches = 0;
-  uint64_t exclusive_adds = 0;
-
-  KernelStats kernel_stats;
-  std::vector<ServerStats> worker_stats;
-  TimeAttribution attribution;
-  SimDuration busy_time = 0;
-  // Per-CPU ledger sums; their total equals busy time spent under workers.
-  std::vector<SimDuration> cpu_busy;
-  // busy_time / (wall * cpus): >1 is impossible, ~1/cpus on one busy worker.
-  double cpu_utilization = 0;
-
-  bool setup_ok = true;
-
-  // Ingress attack & defense observability (all zero when unused).
-  FaultStats fault_stats;
-  AttackStats attack_stats;
-  FilterChainStats chain_stats;
-  DefenseStats defense_stats;
-  uint64_t syn_backlog_peak = 0;  // worst shard
-
-  // Everything that must be bit-identical across two runs of the same seed.
-  std::string signature;
-};
-
-SmpBenchmarkResult RunSmpBenchmark(const SmpBenchmarkConfig& config);
+inline BenchmarkResult RunSmpBenchmark(const BenchmarkRunConfig& config) {
+  return RunBenchmark(config);
+}
 
 }  // namespace scio
 

@@ -28,7 +28,7 @@ int WorkerPool::Setup() {
     Worker w;
     w.proc = &proc;
     w.sys = std::make_unique<Sys>(kernel_, &proc, net_);
-    w.server = factory_(w.sys.get(), i);
+    w.server = factory_(w.sys.get());
     workers_.push_back(std::move(w));
   }
 

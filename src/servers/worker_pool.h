@@ -18,6 +18,10 @@
 // cannot throttle a sibling), its own Sys, and its own server instance built
 // by the caller's factory. Run() pins workers round-robin onto the
 // SmpScheduler's virtual CPUs and drives them to completion.
+//
+// RunBenchmark builds every testbed through a pool, the paper's single-CPU
+// one included: that is a one-worker pool whose server's Run() is called
+// directly, with no scheduler.
 
 #ifndef SRC_SERVERS_WORKER_POOL_H_
 #define SRC_SERVERS_WORKER_POOL_H_
@@ -57,8 +61,7 @@ struct WorkerPoolConfig {
 // Builds one server per worker. The factory must bake mode-appropriate
 // options into the instance it returns (e.g. exclusive-wait /dev/poll or
 // poll() options for kSharedWakeOne).
-using ServerFactory =
-    std::function<std::unique_ptr<HttpServerBase>(Sys* sys, int worker_index)>;
+using ServerFactory = std::function<std::unique_ptr<HttpServerBase>(Sys* sys)>;
 
 class WorkerPool {
  public:

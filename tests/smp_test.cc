@@ -11,7 +11,7 @@
 #include "src/kernel/sim_kernel.h"
 #include "src/kernel/wait_queue.h"
 #include "src/load/httperf.h"
-#include "src/load/smp_benchmark_run.h"
+#include "src/load/benchmark_run.h"
 #include "src/servers/worker_pool.h"
 #include "src/smp/smp_scheduler.h"
 
@@ -298,9 +298,9 @@ TEST(SmpScheduler, BackToBackSchedulersOnOneKernelGiveIdenticalLedgers) {
 
 // --- end-to-end pool ----------------------------------------------------------
 
-SmpBenchmarkConfig QuickConfig(ServerKind server, ListenerMode mode, int workers,
+BenchmarkRunConfig QuickConfig(ServerKind server, ListenerMode mode, int workers,
                                int cpus) {
-  SmpBenchmarkConfig config;
+  BenchmarkRunConfig config;
   config.server = server;
   config.mode = mode;
   config.workers = workers;
@@ -316,9 +316,8 @@ SmpBenchmarkConfig QuickConfig(ServerKind server, ListenerMode mode, int workers
 }
 
 TEST(WorkerPoolRun, SingleWorkerServesLoad) {
-  const SmpBenchmarkResult r =
-      RunSmpBenchmark(QuickConfig(ServerKind::kThttpdDevPoll,
-                                  ListenerMode::kSharedWakeAll, 1, 1));
+  const BenchmarkResult r =
+      RunBenchmark(QuickConfig(ServerKind::kThttpdDevPoll, ListenerMode::kSharedWakeAll, 1, 1));
   ASSERT_TRUE(r.setup_ok);
   EXPECT_GT(r.successes, 100u);
   EXPECT_GT(r.total_accepted, 0u);
@@ -327,12 +326,10 @@ TEST(WorkerPoolRun, SingleWorkerServesLoad) {
 }
 
 TEST(WorkerPoolRun, WakeAllHerdExceedsWakeOne) {
-  const SmpBenchmarkResult herd =
-      RunSmpBenchmark(QuickConfig(ServerKind::kThttpdDevPoll,
-                                  ListenerMode::kSharedWakeAll, 4, 4));
-  const SmpBenchmarkResult one =
-      RunSmpBenchmark(QuickConfig(ServerKind::kThttpdDevPoll,
-                                  ListenerMode::kSharedWakeOne, 4, 4));
+  const BenchmarkResult herd =
+      RunBenchmark(QuickConfig(ServerKind::kThttpdDevPoll, ListenerMode::kSharedWakeAll, 4, 4));
+  const BenchmarkResult one =
+      RunBenchmark(QuickConfig(ServerKind::kThttpdDevPoll, ListenerMode::kSharedWakeOne, 4, 4));
   ASSERT_TRUE(herd.setup_ok);
   ASSERT_TRUE(one.setup_ok);
   EXPECT_GT(herd.wakeups_per_accept, one.wakeups_per_accept);
@@ -340,7 +337,7 @@ TEST(WorkerPoolRun, WakeAllHerdExceedsWakeOne) {
 }
 
 TEST(WorkerPoolRun, ShardedSpreadsAcceptsAcrossWorkers) {
-  const SmpBenchmarkResult r = RunSmpBenchmark(
+  const BenchmarkResult r = RunBenchmark(
       QuickConfig(ServerKind::kThttpdDevPoll, ListenerMode::kSharded, 4, 4));
   ASSERT_TRUE(r.setup_ok);
   int workers_with_accepts = 0;
@@ -353,7 +350,7 @@ TEST(WorkerPoolRun, ShardedSpreadsAcceptsAcrossWorkers) {
 }
 
 TEST(WorkerPoolRun, PhhttpdRoundRobinDeliverySpreadsSignals) {
-  const SmpBenchmarkResult r = RunSmpBenchmark(
+  const BenchmarkResult r = RunBenchmark(
       QuickConfig(ServerKind::kPhhttpd, ListenerMode::kSharedWakeOne, 4, 4));
   ASSERT_TRUE(r.setup_ok);
   EXPECT_GT(r.successes, 100u);
@@ -361,22 +358,38 @@ TEST(WorkerPoolRun, PhhttpdRoundRobinDeliverySpreadsSignals) {
   EXPECT_LT(r.wakeups_per_accept, 2.0);
 }
 
+// Every pool builds the kind it is asked for: the event core it names is
+// the one the kernel sees working.
+TEST(WorkerPoolRun, PoolBuildsTheServerKindItNames) {
+  const BenchmarkResult epoll =
+      RunBenchmark(QuickConfig(ServerKind::kThttpdEpoll, ListenerMode::kSharded, 2, 2));
+  ASSERT_TRUE(epoll.setup_ok);
+  EXPECT_GT(epoll.kernel_stats.epoll_waits, 0u);
+  EXPECT_EQ(epoll.kernel_stats.devpoll_polls, 0u);
+
+  const BenchmarkResult kqueue =
+      RunBenchmark(QuickConfig(ServerKind::kPhhttpdKqueue, ListenerMode::kSharded, 2, 2));
+  ASSERT_TRUE(kqueue.setup_ok);
+  EXPECT_GT(kqueue.kernel_stats.kq_kevents, 0u);
+  EXPECT_EQ(kqueue.kernel_stats.devpoll_polls, 0u);
+}
+
 // --- determinism gate ---------------------------------------------------------
 
 TEST(SmpDeterminism, EightCpuDoubleRunIsBitIdentical) {
-  const SmpBenchmarkConfig config =
+  const BenchmarkRunConfig config =
       QuickConfig(ServerKind::kThttpdDevPoll, ListenerMode::kSharedWakeOne, 8, 8);
-  const SmpBenchmarkResult first = RunSmpBenchmark(config);
-  const SmpBenchmarkResult second = RunSmpBenchmark(config);
+  const BenchmarkResult first = RunBenchmark(config);
+  const BenchmarkResult second = RunBenchmark(config);
   ASSERT_TRUE(first.setup_ok);
   EXPECT_EQ(first.signature, second.signature);
 }
 
 TEST(SmpDeterminism, ShardedDoubleRunIsBitIdentical) {
-  const SmpBenchmarkConfig config =
+  const BenchmarkRunConfig config =
       QuickConfig(ServerKind::kPhhttpd, ListenerMode::kSharded, 4, 2);
-  const SmpBenchmarkResult first = RunSmpBenchmark(config);
-  const SmpBenchmarkResult second = RunSmpBenchmark(config);
+  const BenchmarkResult first = RunBenchmark(config);
+  const BenchmarkResult second = RunBenchmark(config);
   ASSERT_TRUE(first.setup_ok);
   EXPECT_EQ(first.signature, second.signature);
 }
@@ -386,12 +399,12 @@ TEST(SmpDeterminism, ShardedRoutingStableAcrossLinkFlap) {
   // when the window closes. Shard routing hashes only the source port, so the
   // burst must land on the same shards it would have without the outage —
   // bit-identical across runs, and every shard still takes accepts.
-  SmpBenchmarkConfig config =
+  BenchmarkRunConfig config =
       QuickConfig(ServerKind::kThttpdDevPoll, ListenerMode::kSharded, 4, 4);
   config.faults.Add({FaultKind::kLinkFlap, Millis(800), Millis(950), 1.0, 0,
                      LinkDir::kToServer});
-  const SmpBenchmarkResult first = RunSmpBenchmark(config);
-  const SmpBenchmarkResult second = RunSmpBenchmark(config);
+  const BenchmarkResult first = RunBenchmark(config);
+  const BenchmarkResult second = RunBenchmark(config);
   ASSERT_TRUE(first.setup_ok);
   EXPECT_GT(first.fault_stats.packets_flap_held, 0u) << "the flap actually bit";
   EXPECT_EQ(first.signature, second.signature);
@@ -427,7 +440,7 @@ TEST(WorkerIsolation, SaturatedWorkerDoesNotThrottleSiblings) {
   pool_config.worker_max_fds = 64;
   pool_config.seed = 5;
   WorkerPool pool(&kernel, &net, pool_config,
-                  [&content](Sys* sys, int) -> std::unique_ptr<HttpServerBase> {
+                  [&content](Sys* sys) -> std::unique_ptr<HttpServerBase> {
                     return std::make_unique<ThttpdDevPoll>(sys, &content);
                   });
   ASSERT_EQ(pool.Setup(), 0);

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/kernel/sim_kernel.h"
 #include "src/load/benchmark_run.h"
@@ -226,14 +228,34 @@ TEST(AttributionPropertyTest, SameSeedYieldsIdenticalPerCategoryTimes) {
   }
 }
 
+// Inline runs with faults, and 2-worker pools of every kind in every
+// listener mode: the recorder sees each run and perturbs none of them.
 TEST(AttributionPropertyTest, AttachedRecorderDoesNotPerturbTheRun) {
-  const ServerKind servers[] = {ServerKind::kThttpdPoll, ServerKind::kHybrid};
-  for (ServerKind server : servers) {
-    BenchmarkRunConfig config = SmallRun(server, 5, /*faults=*/true);
+  std::vector<BenchmarkRunConfig> configs = {
+      SmallRun(ServerKind::kThttpdPoll, 5, /*faults=*/true),
+      SmallRun(ServerKind::kHybrid, 5, /*faults=*/true)};
+  for (ServerKind server :
+       {ServerKind::kThttpdPoll, ServerKind::kThttpdDevPoll, ServerKind::kPhhttpd,
+        ServerKind::kHybrid, ServerKind::kThttpdEpoll, ServerKind::kThttpdEpollEt,
+        ServerKind::kPhhttpdKqueue}) {
+    for (ListenerMode mode : {ListenerMode::kSharedWakeAll, ListenerMode::kSharedWakeOne,
+                              ListenerMode::kSharded}) {
+      BenchmarkRunConfig pool = SmallRun(server, 5, /*faults=*/false);
+      pool.workers = 2;
+      pool.cpus = 2;
+      pool.mode = mode;
+      configs.push_back(pool);
+    }
+  }
+  for (BenchmarkRunConfig& config : configs) {
+    SCOPED_TRACE(ServerKindName(config.server) + " workers=" + std::to_string(config.workers) +
+                 " " + ListenerModeName(config.mode));
     const BenchmarkResult bare = RunBenchmark(config);
     FlightRecorder recorder;
     config.recorder = &recorder;
     const BenchmarkResult traced = RunBenchmark(config);
+    ASSERT_TRUE(bare.setup_ok);
+    EXPECT_EQ(bare.signature, traced.signature);
     EXPECT_TRUE(bare.attribution == traced.attribution);
     EXPECT_EQ(bare.busy_time, traced.busy_time);
     EXPECT_EQ(bare.kernel_stats.syscalls, traced.kernel_stats.syscalls);
@@ -241,6 +263,10 @@ TEST(AttributionPropertyTest, AttachedRecorderDoesNotPerturbTheRun) {
     EXPECT_EQ(bare.reply_series, traced.reply_series);
     if (kFlightRecorderCompiledIn) {
       EXPECT_GT(recorder.total_recorded(), 0u);
+      const std::vector<TraceEvent> events = recorder.Snapshot();
+      EXPECT_TRUE(std::any_of(events.begin(), events.end(), [](const TraceEvent& e) {
+        return e.type == TraceEventType::kSyscall;
+      })) << "the recorder saw the servers' syscalls, not just the phase marks";
     }
   }
 }
