@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     table.AddRow({base.rates[i], results[0][i].reply_avg, results[1][i].reply_avg,
                   results[2][i].reply_avg, results[0][i].median_conn_ms,
                   results[1][i].median_conn_ms, results[2][i].median_conn_ms,
-                  static_cast<double>(results[2][i].hybrid_mode_switches)},
+                  static_cast<double>(results[2][i].server_stats.mode_switches)},
                  1);
   }
   table.Print(std::cout);

@@ -253,36 +253,6 @@ Recovery MeasureRecovery(const std::vector<double>& series, const Layout& layout
   return r;
 }
 
-// Everything that must be bit-identical across two runs of the same seed:
-// the torture-bench signature plus the attack/chain/defense ledgers.
-std::string MetricsSignature(const BenchmarkResult& result) {
-  std::ostringstream out;
-  out.precision(17);
-  out << result.attempts << '|' << result.successes << '|' << result.errors << '|'
-      << result.client_retries << '|' << result.kernel_stats.syscalls << '|'
-      << result.kernel_stats.net_raw_syns << '|'
-      << result.kernel_stats.net_syncookies_sent << '|'
-      << result.kernel_stats.net_syn_backlog_overflows << '|'
-      << result.server_stats.connections_accepted << '|'
-      << result.server_stats.deadline_reaps << '|' << result.syn_backlog_peak << '|';
-  for (const auto& [name, value] : result.attack_stats.ToRows()) {
-    out << name << '=' << value << ';';
-  }
-  for (const auto& [name, value] : result.chain_stats.ToRows()) {
-    out << name << '=' << value << ';';
-  }
-  for (const auto& [name, value] : result.defense_stats.ToRows()) {
-    out << name << '=' << value << ';';
-  }
-  // Same seed must spend every nanosecond in the same place, not just reach
-  // the same totals.
-  out << result.attribution.Signature() << '|' << result.busy_time << '|';
-  for (double rate : result.reply_series) {
-    out << rate << ',';
-  }
-  return out.str();
-}
-
 std::string Fixed(double value, int precision) {
   std::ostringstream out;
   out.precision(precision);
@@ -442,9 +412,7 @@ int main(int argc, char** argv) {
   for (const Campaign& campaign : campaigns) {
     const BenchmarkRunConfig config =
         MakeConfig(layout, campaign, ServerKind::kThttpdDevPoll, Posture::kAdaptive);
-    const std::string first = MetricsSignature(RunBenchmark(config));
-    const std::string second = MetricsSignature(RunBenchmark(config));
-    const bool identical = first == second;
+    const bool identical = RunBenchmark(config).signature == RunBenchmark(config).signature;
     std::cout << "  " << campaign.name << " (adaptive, thttpd-devpoll): "
               << (identical ? "identical" : "DIVERGED") << "\n";
     if (!identical) {

@@ -9,7 +9,8 @@
 // Gates (exit code = number of failures):
 //   - attribution.Sum() == busy_time for every run;
 //   - double-run determinism: one config per (server, load) runs twice and
-//     the full metrics signature must match byte for byte.
+//     the RunSignature, every counter of every plane, must match byte for
+//     byte.
 //
 // Usage: bench_fig15_successors [--quick] [--rates=...] [--duration=S]
 //   --quick   single mid rate, short duration (CI smoke).
@@ -27,26 +28,6 @@
 
 namespace scio {
 namespace {
-
-// Everything that must be bit-identical across two runs of the same seed:
-// counts, the RT/epoll/kqueue kernel counters, both ledgers, the rate series.
-std::string MetricsSignature(const BenchmarkResult& result) {
-  std::ostringstream out;
-  out.precision(17);
-  out << result.attempts << '|' << result.successes << '|' << result.errors << '|'
-      << result.kernel_stats.syscalls << '|'
-      << result.kernel_stats.epoll_ctls << '|' << result.kernel_stats.epoll_waits << '|'
-      << result.kernel_stats.epoll_events_delivered << '|'
-      << result.kernel_stats.kq_kevents << '|'
-      << result.kernel_stats.kq_events_delivered << '|'
-      << result.kernel_stats.rt_signals_delivered << '|'
-      << result.server_stats.connections_accepted << '|'
-      << result.attribution.Signature() << '|' << result.busy_time << '|';
-  for (double rate : result.reply_series) {
-    out << rate << ',';
-  }
-  return out.str();
-}
 
 BenchmarkRunConfig MakeConfig(ServerKind server, int inactive, double rate,
                               SimDuration duration) {
@@ -178,9 +159,7 @@ int main(int argc, char** argv) {
       // Determinism gate: the last rate, rerun, must be bit-identical.
       const BenchmarkRunConfig repro =
           MakeConfig(server, load, rates.back(), duration);
-      const std::string first = MetricsSignature(RunBenchmark(repro));
-      const std::string second = MetricsSignature(RunBenchmark(repro));
-      if (first != second) {
+      if (RunBenchmark(repro).signature != RunBenchmark(repro).signature) {
         std::cout << "DETERMINISM GATE FAILED: " << ServerKindName(server)
                   << " load " << load << "\n";
         ++failures;

@@ -12,11 +12,11 @@
 //     reply rate as workers/CPUs grow. One CPU saturates; sharded N-CPU
 //     pools should scale near-linearly until the load is absorbed.
 //
-// Every configuration runs twice with the same seed; any signature mismatch
-// is a determinism failure and the bench exits non-zero. smp_scaling.csv
-// holds one row per configuration: the table's columns plus the run's full
-// signature, so a checked-in copy pins the whole schedule, not just the
-// printed digits.
+// Every configuration runs twice with the same seed; any RunSignature
+// mismatch is a determinism failure and the bench exits non-zero.
+// smp_scaling.csv holds one row per configuration: the table's columns plus
+// the run's RunSignature, which signs every counter of every plane, so a
+// checked-in copy pins the whole schedule, not just the printed digits.
 //
 // Usage: bench_smp_scaling [--quick] [--json=FILE]
 
@@ -101,7 +101,7 @@ void PrintTable(const char* title, const std::vector<Row>& rows) {
         row.server.c_str(), row.r.mode.c_str(), row.r.workers, row.r.reply_avg,
         row.r.error_pct, static_cast<unsigned long long>(row.r.total_accepted),
         row.r.wakeups_per_accept,
-        static_cast<unsigned long long>(row.r.context_switches),
+        static_cast<unsigned long long>(row.r.kernel_stats.smp_context_switches),
         row.r.cpu_utilization);
   }
 }
@@ -117,7 +117,8 @@ void AddCsvRows(Table& csv, const char* phase, const std::vector<Row>& rows) {
     csv.AddRow({phase, row.server, row.r.mode, std::to_string(row.r.workers),
                 Fixed(row.r.reply_avg, 1), Fixed(row.r.error_pct, 2),
                 std::to_string(row.r.total_accepted), Fixed(row.r.wakeups_per_accept, 3),
-                std::to_string(row.r.context_switches), Fixed(row.r.cpu_utilization, 3),
+                std::to_string(row.r.kernel_stats.smp_context_switches),
+                Fixed(row.r.cpu_utilization, 3),
                 "\"" + row.r.signature + "\""});
   }
 }
@@ -136,8 +137,8 @@ void AppendJson(std::ostringstream& out, const char* phase, const Row& row,
       << ", \"total_accepted\": " << row.r.total_accepted
       << ", \"listener_syn_wakeups\": " << row.r.listener_syn_wakeups
       << ", \"wakeups_per_accept\": " << row.r.wakeups_per_accept
-      << ", \"context_switches\": " << row.r.context_switches
-      << ", \"exclusive_adds\": " << row.r.exclusive_adds
+      << ", \"context_switches\": " << row.r.kernel_stats.smp_context_switches
+      << ", \"exclusive_adds\": " << row.r.kernel_stats.wait_exclusive_adds
       << ", \"cpu_utilization\": " << row.r.cpu_utilization
       << ", \"median_conn_ms\": " << row.r.median_conn_ms << "}";
 }

@@ -174,29 +174,6 @@ Recovery MeasureRecovery(const std::vector<double>& series, SimTime fault_end) {
   return r;
 }
 
-// Everything that must be bit-identical across two runs of the same seed.
-std::string MetricsSignature(const BenchmarkResult& result) {
-  std::ostringstream out;
-  out.precision(17);
-  out << result.attempts << '|' << result.successes << '|' << result.errors << '|'
-      << result.client_retries << '|' << result.abusive_aborts << '|'
-      << result.slowloris_reconnects << '|' << result.kernel_stats.syscalls << '|'
-      << result.server_stats.connections_accepted << '|'
-      << result.server_stats.eintr_returns << '|'
-      << result.server_stats.accepts_throttled << '|';
-  for (const auto& [name, value] : result.fault_stats.ToRows()) {
-    out << name << '=' << value << ';';
-  }
-  // The per-category virtual-CPU ledger is part of the signature: same seed
-  // must spend every nanosecond in the same place, not just reach the same
-  // totals.
-  out << result.attribution.Signature() << '|' << result.busy_time << '|';
-  for (double rate : result.reply_series) {
-    out << rate << ',';
-  }
-  return out.str();
-}
-
 }  // namespace
 }  // namespace scio
 
@@ -263,9 +240,8 @@ int main() {
   {
     const TortureCase repro = BuildCases().front();  // pkt-loss, RNG-heaviest
     for (ServerKind server : servers) {
-      const std::string first = MetricsSignature(RunBenchmark(MakeConfig(repro, server)));
-      const std::string second = MetricsSignature(RunBenchmark(MakeConfig(repro, server)));
-      const bool identical = first == second;
+      const bool identical = RunBenchmark(MakeConfig(repro, server)).signature ==
+                             RunBenchmark(MakeConfig(repro, server)).signature;
       std::cout << "  " << ServerKindName(server) << ": "
                 << (identical ? "identical" : "DIVERGED") << "\n";
       if (!identical) {
@@ -288,7 +264,7 @@ int main() {
       const BenchmarkResult traced = RunBenchmark(cfg);
       const bool invariant = bare.attribution.Sum() == bare.busy_time &&
                              traced.attribution.Sum() == traced.busy_time;
-      const bool observer = MetricsSignature(bare) == MetricsSignature(traced);
+      const bool observer = bare.signature == traced.signature;
       std::cout << "  " << ServerKindName(server) << ": invariant "
                 << (invariant ? "holds" : "VIOLATED") << ", recorder "
                 << (observer ? "transparent" : "PERTURBED RUN") << " ("

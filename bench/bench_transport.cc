@@ -14,7 +14,8 @@
 //     same drop script for both stacks);
 //   - flash crowd: a burst at ~4x the paper's saturation rate with the plane
 //     attached, then a double-run determinism check — same seed, identical
-//     metrics and transport counters, bit for bit.
+//     RunSignature (every counter of every plane, transport included), bit
+//     for bit; the long-fat BBR legs get the same check.
 //
 // CSVs (cwd): transport_matrix.csv (with the full t_<category> virtual-CPU
 // breakdown), transport_recovery.csv, transport_flash.csv. --quick trims
@@ -162,25 +163,6 @@ std::string Fmt(double v, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << v;
   return os.str();
-}
-
-// Everything that must be bit-identical across two runs of the same seed —
-// the torture signature plus the transport plane's own counters.
-std::string MetricsSignature(const BenchmarkResult& result) {
-  std::ostringstream out;
-  out.precision(17);
-  out << result.attempts << '|' << result.successes << '|' << result.errors
-      << '|' << result.client_retries << '|' << result.kernel_stats.syscalls
-      << '|' << result.server_stats.connections_accepted << '|';
-  for (const auto& [name, value] : result.fault_stats.ToRows()) {
-    out << name << '=' << value << ';';
-  }
-  out << result.attribution.Signature() << '|' << result.busy_time << '|'
-      << result.transport_stats.Signature() << '|';
-  for (double rate : result.reply_series) {
-    out << rate << ',';
-  }
-  return out.str();
 }
 
 // --- recovery microbench -----------------------------------------------------
@@ -497,7 +479,7 @@ int main(int argc, char** argv) {
     cfg.inactive.connections = 2000;  // the crowd arrives over idle ballast
     const BenchmarkResult first = RunBenchmark(cfg);
     const BenchmarkResult second = RunBenchmark(cfg);
-    const bool identical = MetricsSignature(first) == MetricsSignature(second);
+    const bool identical = first.signature == second.signature;
     bool ok = first.setup_ok && first.successes > 0 &&
               first.attribution.Sum() == first.busy_time && identical;
     if (!ok) {
@@ -522,9 +504,7 @@ int main(int argc, char** argv) {
     }
     for (ServerKind server : servers) {
       const BenchmarkRunConfig cfg = MakeConfig(scenario, CcKind::kBbr, server);
-      const std::string a = MetricsSignature(RunBenchmark(cfg));
-      const std::string b = MetricsSignature(RunBenchmark(cfg));
-      const bool identical = a == b;
+      const bool identical = RunBenchmark(cfg).signature == RunBenchmark(cfg).signature;
       std::cout << "  longfat/bbr/" << ServerKindName(server) << ": "
                 << (identical ? "identical" : "DIVERGED") << "\n";
       if (!identical) {

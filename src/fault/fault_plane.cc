@@ -26,14 +26,14 @@ const char* FaultKindName(FaultKind kind) {
 
 std::vector<std::pair<std::string, uint64_t>> FaultStats::ToRows() const {
   return {
-      {"fault_accept_emfile_injected", accept_emfile_injected},
-      {"fault_open_emfile_injected", open_emfile_injected},
-      {"fault_interest_enomem_injected", interest_enomem_injected},
-      {"fault_eintr_injected", eintr_injected},
-      {"fault_rt_signals_shed", rt_signals_shed},
-      {"fault_packets_lost", packets_lost},
-      {"fault_packets_spiked", packets_spiked},
-      {"fault_packets_flap_held", packets_flap_held},
+      {"fault.accept_emfile_injected", accept_emfile_injected},
+      {"fault.open_emfile_injected", open_emfile_injected},
+      {"fault.interest_enomem_injected", interest_enomem_injected},
+      {"fault.eintr_injected", eintr_injected},
+      {"fault.rt_signals_shed", rt_signals_shed},
+      {"fault.packets_lost", packets_lost},
+      {"fault.packets_spiked", packets_spiked},
+      {"fault.packets_flap_held", packets_flap_held},
   };
 }
 

@@ -69,12 +69,24 @@ std::unique_ptr<HttpServerBase> MakeServer(const BenchmarkRunConfig& config, Sys
 
 namespace {
 
-std::string BuildSignature(const BenchmarkResult& r) {
+// Appends the value of every row of `stats`, then `end`.
+template <typename Stats>
+void AppendRows(std::ostream& out, const Stats& stats, char end) {
+  for (const auto& [name, value] : stats.ToRows()) {
+    out << value << ',';
+  }
+  out << end;
+}
+
+}  // namespace
+
+std::string RunSignature(const BenchmarkResult& r) {
   std::ostringstream out;
   out.precision(17);
   out << r.attempts << '|' << r.successes << '|' << r.errors << '|' << r.pending << '|'
-      << r.total_accepted << '|' << r.listener_syn_wakeups << '|' << r.context_switches
-      << '|' << r.exclusive_adds << '|' << r.kernel_stats.syscalls << '|';
+      << r.total_accepted << '|' << r.listener_syn_wakeups << '|'
+      << r.kernel_stats.smp_context_switches << '|' << r.kernel_stats.wait_exclusive_adds
+      << '|' << r.kernel_stats.syscalls << '|';
   for (const ServerStats& s : r.worker_stats) {
     out << s.connections_accepted << ',' << s.responses_sent << ',' << s.loop_iterations
         << ';';
@@ -93,10 +105,28 @@ std::string BuildSignature(const BenchmarkResult& r) {
   for (double rate : r.reply_series) {
     out << rate << ',';
   }
+  // The digest above stays the prefix, so a signature pinned before the rest
+  // was signed is still a prefix of today's; the rest signs every counter of
+  // every plane and the reduced outcomes.
+  out << '|';
+  AppendRows(out, r.kernel_stats, '|');
+  for (const ServerStats& s : r.worker_stats) {
+    AppendRows(out, s, ';');
+  }
+  out << '|';
+  AppendRows(out, r.fault_stats, '|');
+  AppendRows(out, r.attack_stats, '|');
+  AppendRows(out, r.chain_stats, '|');
+  AppendRows(out, r.defense_stats, '|');
+  AppendRows(out, r.transport_stats, '|');
+  out << r.client_retries << '|' << r.abusive_aborts << '|' << r.slowloris_reconnects << '|'
+      << r.inactive_reconnects << '|' << r.trickle_bytes << '|' << r.rt_queue_peak << '|'
+      << r.phhttpd_fell_back_to_poll << '|' << r.hybrid_in_signal_mode << '|'
+      << r.reply_avg << '|' << r.reply_min << '|' << r.reply_max << '|' << r.reply_stddev
+      << '|' << r.error_pct << '|' << r.median_conn_ms << '|' << r.p90_conn_ms << '|'
+      << r.cpu_utilization;
   return out.str();
 }
-
-}  // namespace
 
 BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
   Simulator sim;
@@ -154,6 +184,7 @@ BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
   if (pool.Setup() < 0) {
     result.setup_ok = false;
     result.fault_stats = fault_plane.stats();
+    result.signature = RunSignature(result);
     return result;
   }
 
@@ -253,7 +284,6 @@ BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
   if (const auto* ph = dynamic_cast<const Phhttpd*>(&first)) {
     result.phhttpd_fell_back_to_poll = ph->in_poll_fallback();
   }
-  result.hybrid_mode_switches = result.server_stats.mode_switches;
   if (const auto* hybrid = dynamic_cast<const HybridServer*>(&first)) {
     result.hybrid_in_signal_mode = hybrid->mode() == EventMode::kSignals;
   }
@@ -263,8 +293,6 @@ BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
           ? 0.0
           : static_cast<double>(result.listener_syn_wakeups) /
                 static_cast<double>(result.total_accepted);
-  result.context_switches = kernel.stats().smp_context_switches;
-  result.exclusive_adds = kernel.stats().wait_exclusive_adds;
 
   result.attribution = kernel.attribution();
   result.busy_time = kernel.busy_time();
@@ -298,7 +326,7 @@ BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
     result.syn_backlog_peak =
         std::max<uint64_t>(result.syn_backlog_peak, shard->syn_backlog_peak());
   }
-  result.signature = BuildSignature(result);
+  result.signature = RunSignature(result);
 
   // `sim` outlives `net` on unwind; drop undelivered events (which hold
   // sockets that release ports on destruction) while the stack is alive.

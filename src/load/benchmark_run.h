@@ -142,9 +142,9 @@ struct BenchmarkResult {
   double median_conn_ms = 0;
   double p90_conn_ms = 0;
 
-  // Observability. server_stats, phhttpd_fell_back_to_poll and the hybrid_*
-  // fields describe the first server (inline: the only one); worker_stats
-  // holds every server's counters.
+  // Observability. server_stats, phhttpd_fell_back_to_poll and
+  // hybrid_in_signal_mode describe the first server (inline: the only one);
+  // worker_stats holds every server's counters.
   KernelStats kernel_stats;
   ServerStats server_stats;
   std::vector<ServerStats> worker_stats;
@@ -155,19 +155,17 @@ struct BenchmarkResult {
   uint64_t inactive_reconnects = 0;
   uint64_t trickle_bytes = 0;
   bool phhttpd_fell_back_to_poll = false;
-  uint64_t hybrid_mode_switches = 0;
   // busy_time / (wall * cpus): >1 is impossible, ~1/cpus on one busy worker.
   double cpu_utilization = 0;
   size_t rt_queue_peak = 0;  // worst server process
 
   // SMP observables. The per-CPU ledgers exist only for pool runs; their
-  // total equals the busy time spent under workers.
+  // total equals the busy time spent under workers. Context switches and
+  // exclusive waits are kernel_stats' smp.* and wait.* rows.
   uint64_t total_accepted = 0;
   // Process wakes triggered by listener SYN notifications; the herd metric.
   uint64_t listener_syn_wakeups = 0;
   double wakeups_per_accept = 0;
-  uint64_t context_switches = 0;
-  uint64_t exclusive_adds = 0;
   std::vector<SimDuration> cpu_busy;
 
   // Fault-plane observability (all zero on a fault-free run).
@@ -194,11 +192,22 @@ struct BenchmarkResult {
   // Transport-plane observability (all zero when the plane is off).
   TransportStats transport_stats;
 
-  // Everything that must be bit-identical across two runs of the same seed.
+  // RunSignature(*this): every outcome above, for double-run gates. Two runs
+  // of the same config must produce the same string, byte for byte.
   std::string signature;
 };
 
 BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config);
+
+// The run's canonical signature: every outcome a BenchmarkResult carries as
+// one string, bar the config echoes and copies of signed values. The pool
+// digest comes first (counts, herd, per-worker and ingress counters, the
+// attribution and per-CPU ledgers, the reply series), then the value of
+// every ToRows() row of the kernel, each worker, and the fault, attack,
+// chain, defense and transport planes, then the client-side and reduced
+// scalars. A counter is signed once it has its ToRows() row, and
+// RunSignatureTest fails for a counter without one.
+std::string RunSignature(const BenchmarkResult& result);
 
 // Builds the server `config.server` names on `sys`, with that kind's
 // options from `config`. `wake_one` bakes in a kSharedWakeOne pool's

@@ -7,6 +7,29 @@
 
 namespace scio {
 
+std::vector<std::pair<std::string, uint64_t>> ServerStats::ToRows() const {
+  return {
+      {"server.connections_accepted", connections_accepted},
+      {"server.responses_sent", responses_sent},
+      {"server.not_found_sent", not_found_sent},
+      {"server.bad_requests", bad_requests},
+      {"server.idle_timeouts", idle_timeouts},
+      {"server.peer_closes", peer_closes},
+      {"server.accept_emfile", accept_emfile},
+      {"server.stale_events", stale_events},
+      {"server.loop_iterations", loop_iterations},
+      {"server.overflow_recoveries", overflow_recoveries},
+      {"server.mode_switches", mode_switches},
+      {"server.accepts_throttled", accepts_throttled},
+      {"server.pressure_reaps", pressure_reaps},
+      {"server.eintr_returns", eintr_returns},
+      {"server.write_errors", write_errors},
+      {"server.devpoll_write_retries", devpoll_write_retries},
+      {"server.accept_retries", accept_retries},
+      {"server.deadline_reaps", deadline_reaps},
+  };
+}
+
 HttpServerBase::HttpServerBase(Sys* sys, const StaticContent* content, ServerConfig config)
     : sys_(sys), content_(content), config_(config) {
   conns_.set_limit(static_cast<size_t>(sys_->proc().fds().max_fds()));

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/sys.h"
 #include "src/http/request_parser.h"
@@ -60,6 +62,8 @@ struct ServerStats {
   uint64_t devpoll_write_retries = 0;  // interest batches requeued on ENOMEM
   uint64_t accept_retries = 0;       // sweep-driven re-probes of a stalled backlog
   uint64_t deadline_reaps = 0;       // conns reaped for outliving the request deadline
+
+  std::vector<std::pair<std::string, uint64_t>> ToRows() const;
 };
 
 class HttpServerBase {

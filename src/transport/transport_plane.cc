@@ -29,28 +29,28 @@ inline bool SeqGe(uint32_t a, uint32_t b) {
 
 std::vector<std::pair<std::string, uint64_t>> TransportStats::ToRows() const {
   return {
-      {"tp_blocks_attached", blocks_attached},
-      {"tp_blocks_released", blocks_released},
-      {"tp_attach_failed", attach_failed},
-      {"tp_hot_activations", hot_activations},
-      {"tp_hot_releases", hot_releases},
-      {"tp_segments_sent", segments_sent},
-      {"tp_segments_retransmitted", segments_retransmitted},
-      {"tp_segments_dropped", segments_dropped},
-      {"tp_segments_dropped_filter", segments_dropped_filter},
-      {"tp_segments_stale", segments_stale},
-      {"tp_dup_segments", dup_segments},
-      {"tp_ooo_buffered", ooo_buffered},
-      {"tp_acks_sent", acks_sent},
-      {"tp_acks_received", acks_received},
-      {"tp_rtt_samples", rtt_samples},
-      {"tp_fast_retransmit_entries", fast_retransmit_entries},
-      {"tp_rack_marked_lost", rack_marked_lost},
-      {"tp_tlp_probes", tlp_probes},
-      {"tp_rto_fires", rto_fires},
-      {"tp_send_blocked_no_slab", send_blocked_no_slab},
-      {"tp_fins_sent", fins_sent},
-      {"tp_orphans_abandoned", orphans_abandoned},
+      {"transport.blocks_attached", blocks_attached},
+      {"transport.blocks_released", blocks_released},
+      {"transport.attach_failed", attach_failed},
+      {"transport.hot_activations", hot_activations},
+      {"transport.hot_releases", hot_releases},
+      {"transport.segments_sent", segments_sent},
+      {"transport.segments_retransmitted", segments_retransmitted},
+      {"transport.segments_dropped", segments_dropped},
+      {"transport.segments_dropped_filter", segments_dropped_filter},
+      {"transport.segments_stale", segments_stale},
+      {"transport.dup_segments", dup_segments},
+      {"transport.ooo_buffered", ooo_buffered},
+      {"transport.acks_sent", acks_sent},
+      {"transport.acks_received", acks_received},
+      {"transport.rtt_samples", rtt_samples},
+      {"transport.fast_retransmit_entries", fast_retransmit_entries},
+      {"transport.rack_marked_lost", rack_marked_lost},
+      {"transport.tlp_probes", tlp_probes},
+      {"transport.rto_fires", rto_fires},
+      {"transport.send_blocked_no_slab", send_blocked_no_slab},
+      {"transport.fins_sent", fins_sent},
+      {"transport.orphans_abandoned", orphans_abandoned},
   };
 }
 

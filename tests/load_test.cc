@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <regex>
+#include <set>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "src/load/abusive_clients.h"
 #include "src/load/benchmark_run.h"
@@ -153,28 +160,10 @@ TEST(BenchmarkRunTest, SmallRunProducesSaneNumbers) {
   EXPECT_LT(result.cpu_utilization, 1.0);
 }
 
+// Two runs of the same seed must carry the same RunSignature, every counter
+// of every plane — the event engine's replay contract (same-time events in
+// schedule order), for every server kind.
 class DeterminismTest : public ::testing::TestWithParam<ServerKind> {};
-
-// Everything that must be bit-identical across two runs of the same seed —
-// the event engine's replay contract (same-time events in schedule order).
-std::string MetricsSignature(const BenchmarkResult& r) {
-  std::ostringstream out;
-  out.precision(17);
-  out << r.attempts << '|' << r.successes << '|' << r.errors << '|' << r.pending
-      << '|' << r.reply_avg << '|' << r.reply_min << '|' << r.reply_max << '|'
-      << r.reply_stddev << '|' << r.median_conn_ms << '|' << r.p90_conn_ms << '|'
-      << r.cpu_utilization << '|' << r.kernel_stats.syscalls << '|'
-      << r.kernel_stats.poll_driver_calls << '|'
-      << r.kernel_stats.devpoll_driver_calls << '|'
-      << r.kernel_stats.devpoll_interests_scanned << '|'
-      << r.kernel_stats.devpoll_driver_calls_avoided << '|'
-      << r.kernel_stats.devpoll_scan_stale_fd << '|'
-      << r.server_stats.connections_accepted;
-  for (const double v : r.reply_series) {
-    out << '|' << v;
-  }
-  return out.str();
-}
 
 TEST_P(DeterminismTest, IdenticalSeedsIdenticalResults) {
   BenchmarkRunConfig config;
@@ -192,13 +181,16 @@ TEST_P(DeterminismTest, IdenticalSeedsIdenticalResults) {
   EXPECT_EQ(a.kernel_stats.poll_driver_calls, b.kernel_stats.poll_driver_calls);
   EXPECT_EQ(a.kernel_stats.devpoll_driver_calls, b.kernel_stats.devpoll_driver_calls);
   EXPECT_DOUBLE_EQ(a.median_conn_ms, b.median_conn_ms);
-  EXPECT_EQ(MetricsSignature(a), MetricsSignature(b));
+  EXPECT_EQ(a.signature, b.signature);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllServers, DeterminismTest,
                          ::testing::Values(ServerKind::kThttpdPoll,
                                            ServerKind::kThttpdDevPoll,
-                                           ServerKind::kPhhttpd, ServerKind::kHybrid));
+                                           ServerKind::kPhhttpd, ServerKind::kHybrid,
+                                           ServerKind::kThttpdEpoll,
+                                           ServerKind::kThttpdEpollEt,
+                                           ServerKind::kPhhttpdKqueue));
 
 // Retry backoff jitter: a config that forces refusals (accept-EMFILE window
 // fills the backlog, later SYNs bounce) so clients actually walk the
@@ -225,7 +217,7 @@ TEST(BenchmarkRunTest, RetryJitterDrawsNothingWhenZero) {
   const BenchmarkResult b = RunBenchmark(config);
   EXPECT_GT(a.client_retries, 0u) << "the storm must actually cause retries";
   EXPECT_EQ(a.client_retries, b.client_retries);
-  EXPECT_EQ(MetricsSignature(a), MetricsSignature(b));
+  EXPECT_EQ(a.signature, b.signature);
 }
 
 TEST(BenchmarkRunTest, RetryJitterIsSeededAndDeterministic) {
@@ -235,10 +227,10 @@ TEST(BenchmarkRunTest, RetryJitterIsSeededAndDeterministic) {
   const BenchmarkResult b = RunBenchmark(config);
   EXPECT_GT(a.client_retries, 0u);
   EXPECT_EQ(a.client_retries, b.client_retries);
-  EXPECT_EQ(MetricsSignature(a), MetricsSignature(b));
+  EXPECT_EQ(a.signature, b.signature);
   // And the knob is live: a jittered timeline differs from the unjittered one.
   const BenchmarkResult plain = RunBenchmark(RetryStormConfig());
-  EXPECT_NE(MetricsSignature(a), MetricsSignature(plain));
+  EXPECT_NE(a.signature, plain.signature);
 }
 
 TEST(BenchmarkRunTest, DevPollBeatsStockPollUnderInactiveLoad) {
@@ -267,6 +259,108 @@ TEST(BenchmarkRunTest, ServerKindNamesAreStable) {
   EXPECT_EQ(ServerKindName(ServerKind::kThttpdDevPoll), "thttpd-devpoll");
   EXPECT_EQ(ServerKindName(ServerKind::kPhhttpd), "phhttpd");
   EXPECT_EQ(ServerKindName(ServerKind::kHybrid), "hybrid");
+}
+
+// --- RunSignature coverage -----------------------------------------------------
+// RunSignature signs seven stats structs row by row. Each struct is nothing
+// but uint64 counters, so its size pins its row count, and a counter added
+// without a ToRows() row (or a plane dropped from the signature) fails here.
+
+// Adds one to the `word`-th counter of `stats`.
+template <typename Stats>
+void Bump(Stats* stats, size_t word) {
+  static_assert(std::is_trivially_copyable_v<Stats>);
+  char* at = reinterpret_cast<char*>(stats) + word * sizeof(uint64_t);
+  uint64_t value;
+  std::memcpy(&value, at, sizeof value);
+  ++value;
+  std::memcpy(at, &value, sizeof value);
+}
+
+// Row i of ToRows() must read counter i: number the counters and look.
+template <typename Stats>
+void ExpectOneRowPerCounter(const char* name) {
+  constexpr size_t kWords = sizeof(Stats) / sizeof(uint64_t);
+  static_assert(std::is_trivially_copyable_v<Stats>);
+  static_assert(kWords * sizeof(uint64_t) == sizeof(Stats));
+  uint64_t words[kWords];
+  for (size_t i = 0; i < kWords; ++i) {
+    words[i] = i + 1;
+  }
+  Stats stats;
+  std::memcpy(&stats, words, sizeof stats);
+  const auto rows = stats.ToRows();
+  ASSERT_EQ(rows.size() * sizeof(uint64_t), sizeof(Stats)) << name;
+  for (size_t i = 0; i < kWords; ++i) {
+    EXPECT_EQ(rows[i].second, i + 1) << name << " row " << rows[i].first;
+  }
+}
+
+TEST(RunSignatureTest, EveryStatsStructExportsOneRowPerCounter) {
+  ExpectOneRowPerCounter<KernelStats>("KernelStats");
+  ExpectOneRowPerCounter<ServerStats>("ServerStats");
+  ExpectOneRowPerCounter<FaultStats>("FaultStats");
+  ExpectOneRowPerCounter<AttackStats>("AttackStats");
+  ExpectOneRowPerCounter<FilterChainStats>("FilterChainStats");
+  ExpectOneRowPerCounter<DefenseStats>("DefenseStats");
+  ExpectOneRowPerCounter<TransportStats>("TransportStats");
+}
+
+// One schema: sciolint M1's `subsystem.metric` shape (lowercase snake
+// segments joined by dots), unique across every plane.
+TEST(RunSignatureTest, RowNamesAreUniqueSubsystemMetrics) {
+  std::vector<std::pair<std::string, uint64_t>> rows = KernelStats{}.ToRows();
+  for (const auto& plane :
+       {ServerStats{}.ToRows(), FaultStats{}.ToRows(), AttackStats{}.ToRows(),
+        FilterChainStats{}.ToRows(), DefenseStats{}.ToRows(), TransportStats{}.ToRows()}) {
+    rows.insert(rows.end(), plane.begin(), plane.end());
+  }
+  const std::regex shape("[a-z0-9_]+(\\.[a-z0-9_]+)+");
+  std::set<std::string> seen;
+  for (const auto& [name, value] : rows) {
+    EXPECT_TRUE(std::regex_match(name, shape)) << name;
+    EXPECT_TRUE(seen.insert(name).second) << "duplicate row " << name;
+  }
+}
+
+// Bumps every counter of the plane `get` selects (a member pointer or a
+// callable), one at a time, and expects each bump to change the signature.
+template <typename Get>
+void ExpectEveryCounterSigned(const BenchmarkResult& run, Get get) {
+  const std::string base = RunSignature(run);
+  BenchmarkResult named = run;
+  const auto rows = std::invoke(get, named).ToRows();
+  for (size_t word = 0; word < rows.size(); ++word) {
+    BenchmarkResult bumped = run;
+    Bump(&std::invoke(get, bumped), word);
+    EXPECT_NE(RunSignature(bumped), base) << rows[word].first << " is not signed";
+  }
+}
+
+TEST(RunSignatureTest, EveryCounterOfEveryPlaneIsSigned) {
+  BenchmarkRunConfig config;
+  config.server = ServerKind::kThttpdEpoll;
+  config.active.request_rate = 300;
+  config.active.duration = Seconds(1);
+  config.inactive.connections = 20;
+  config.warmup = Millis(500);
+  config.drain = Millis(500);
+  config.transport_enabled = true;
+  config.adaptive_defense = true;
+  const BenchmarkResult run = RunBenchmark(config);
+  ASSERT_TRUE(run.setup_ok);
+  ASSERT_GT(run.successes, 0u);
+  EXPECT_EQ(run.signature, RunSignature(run));
+
+  ExpectEveryCounterSigned(run, &BenchmarkResult::kernel_stats);
+  ExpectEveryCounterSigned(run, [](BenchmarkResult& r) -> ServerStats& {
+    return r.worker_stats[0];
+  });
+  ExpectEveryCounterSigned(run, &BenchmarkResult::fault_stats);
+  ExpectEveryCounterSigned(run, &BenchmarkResult::attack_stats);
+  ExpectEveryCounterSigned(run, &BenchmarkResult::chain_stats);
+  ExpectEveryCounterSigned(run, &BenchmarkResult::defense_stats);
+  ExpectEveryCounterSigned(run, &BenchmarkResult::transport_stats);
 }
 
 }  // namespace

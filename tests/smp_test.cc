@@ -333,7 +333,7 @@ TEST(WorkerPoolRun, WakeAllHerdExceedsWakeOne) {
   ASSERT_TRUE(herd.setup_ok);
   ASSERT_TRUE(one.setup_ok);
   EXPECT_GT(herd.wakeups_per_accept, one.wakeups_per_accept);
-  EXPECT_GT(one.exclusive_adds, 0u);
+  EXPECT_GT(one.kernel_stats.wait_exclusive_adds, 0u);
 }
 
 TEST(WorkerPoolRun, ShardedSpreadsAcceptsAcrossWorkers) {

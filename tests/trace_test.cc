@@ -286,7 +286,7 @@ TEST(AttributionPropertyTest, HybridForcedShrinkRecoversWithSaneWatermarks) {
   // the policy into polling mode before the shrink window, where recovery is
   // the level-triggered scan rather than a SIGIO dequeue.
   EXPECT_GT(result.kernel_stats.rt_queue_overflows, 0u);
-  EXPECT_GT(result.hybrid_mode_switches, 0u);
+  EXPECT_GT(result.server_stats.mode_switches, 0u);
   EXPECT_TRUE(result.hybrid_in_signal_mode)
       << "policy stuck in polling mode after the shrink window closed";
   EXPECT_EQ(result.attribution.Sum(), result.busy_time);
