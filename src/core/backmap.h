@@ -5,15 +5,15 @@
 // descriptor for each process in its backmapping list."
 //
 // A link registers itself on the file's status-listener list and forwards
-// state changes to its owner (a DevPollDevice marking a hint). It is owned
-// by the Interest it serves and unregisters itself on destruction if the
-// file is still alive; if the file dies first, the expired weak_ptr makes
-// unregistration a no-op.
+// two things to the DevPollDevice that owns it: state changes (which set the
+// interest's hint) and closes of a descriptor holding the file (which end
+// the interest's idleness without a hint). It is owned by the Interest it
+// serves and unregisters itself on destruction if the file is still alive;
+// if the file dies first, the expired weak_ptr makes unregistration a no-op.
 
 #ifndef SRC_CORE_BACKMAP_H_
 #define SRC_CORE_BACKMAP_H_
 
-#include <functional>
 #include <memory>
 #include <utility>
 
@@ -21,12 +21,12 @@
 
 namespace scio {
 
+class DevPollDevice;
+
 class BackmapLink : public StatusListener {
  public:
-  using Callback = std::function<void(int fd, PollEvents mask)>;
-
-  BackmapLink(Callback on_status, int fd, std::weak_ptr<File> file)
-      : on_status_(std::move(on_status)), fd_(fd), file_(std::move(file)) {
+  BackmapLink(DevPollDevice* device, int fd, std::weak_ptr<File> file)
+      : device_(device), fd_(fd), file_(std::move(file)) {
     if (auto f = file_.lock()) {
       f->AddStatusListener(this);
     }
@@ -38,15 +38,14 @@ class BackmapLink : public StatusListener {
     }
   }
 
-  void OnFileStatus(File& file, PollEvents mask) override {
-    (void)file;
-    on_status_(fd_, mask);
-  }
+  // Defined in devpoll.cc, next to the device methods they call.
+  void OnFileStatus(File& file, PollEvents mask) override;
+  void OnDescriptorClosed(File& file) override;
 
   int fd() const { return fd_; }
 
  private:
-  Callback on_status_;
+  DevPollDevice* device_;
   int fd_;
   std::weak_ptr<File> file_;
 };

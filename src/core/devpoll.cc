@@ -33,6 +33,7 @@ void DevPollDevice::OnFdClose() {
   // Destroying the table unregisters every backmap link.
   table_ = InterestHashTable();
   active_list_.clear();
+  hintable_ = 0;
 }
 
 void DevPollDevice::BindInterest(Interest& interest) {
@@ -45,6 +46,7 @@ void DevPollDevice::BindInterest(Interest& interest) {
   interest.file = current;
   interest.cached = 0;
   interest.hint = true;  // never polled this file yet
+  hintable_ -= interest.hintable ? 1 : 0;
   interest.hintable = false;
   if (current == nullptr) {
     return;  // stale fd: EvaluateInterest reports POLLNVAL
@@ -52,9 +54,19 @@ void DevPollDevice::BindInterest(Interest& interest) {
   interest.fd_gen = owner_->fds().generation(interest.fd);
   interest.hintable = options_.hints_enabled && current->SupportsPollHints();
   if (interest.hintable) {
-    interest.link = std::make_unique<BackmapLink>(
-        [this](int fd, PollEvents mask) { MarkHint(fd, mask); }, interest.fd, interest.file);
+    ++hintable_;
+    interest.link = std::make_unique<BackmapLink>(this, interest.fd, interest.file);
   }
+}
+
+void BackmapLink::OnFileStatus(File& file, PollEvents mask) {
+  (void)file;
+  device_->MarkHint(fd_, mask);
+}
+
+void BackmapLink::OnDescriptorClosed(File& file) {
+  (void)file;
+  device_->MarkFdClosed(fd_);
 }
 
 long DevPollDevice::Write(std::span<const PollFd> updates) {
@@ -102,6 +114,9 @@ long DevPollDevice::WriteInternal(std::span<const PollFd> updates) {
   const uint64_t resizes_before = table_.resize_count();
   for (const PollFd& update : updates) {
     if ((update.events & kPollRemove) != 0) {
+      if (const Interest* gone = table_.Find(update.fd); gone != nullptr && gone->hintable) {
+        --hintable_;
+      }
       table_.Erase(update.fd);
       continue;
     }
@@ -115,6 +130,7 @@ long DevPollDevice::WriteInternal(std::span<const PollFd> updates) {
       interest.events |= update.events;
     }
     BindInterest(interest);
+    table_.Mark(update.fd);  // a new events mask or binding may end idleness
     if (options_.hinted_first_scan) {
       PushActive(interest);
     }
@@ -180,6 +196,7 @@ void DevPollDevice::MarkHint(int fd, PollEvents mask) {
     return;
   }
   interest->hint = true;
+  table_.Mark(fd);
   if (options_.hinted_first_scan) {
     PushActive(*interest);
   }
@@ -289,22 +306,28 @@ int DevPollDevice::ScanOnce(PollFd* out, int max, bool charge_copyout) {
     return ready;
   }
 
-  // Full walk. An idle interest's scan charge joins a run that is paid as
-  // one clock move; the run stops at the event horizon, so no event fires
-  // inside it and every interest sees the state it would have seen with one
-  // charge each. Any other interest pays the run together with its own scan
-  // charge (which may run events), then takes the per-interest path.
+  // Full walk, in bucket order then chain order: the results array and which
+  // events run between which interests' charges depend on that order. An
+  // idle interest's scan charge joins a run that is paid as one clock move;
+  // the run stops at the event horizon, so no event fires inside it and
+  // every interest sees the state it would have seen with one charge each.
+  // Any other interest pays the run together with its own scan charge (which
+  // may run events), then takes the per-interest path.
   const SimDuration per_interest = cost.devpoll_scan_per_interest;
   const FdTable& fds = owner_->fds();
   uint64_t horizon = kernel()->DeferrableCharges(per_interest);
   uint64_t run = 0;
-  table_.ForEach([&](Interest& interest) {
-    ++stats.devpoll_interests_scanned;
+  auto join = [&](uint64_t idle) {
+    run += idle;
+    stats.devpoll_interests_scanned += idle;
+    stats.devpoll_driver_calls_avoided += idle;
+  };
+  auto visit = [&](Interest& interest) {
     if (run < horizon && Idle(interest, fds)) {
-      ++run;
-      ++stats.devpoll_driver_calls_avoided;
+      join(1);
       return;
     }
+    ++stats.devpoll_interests_scanned;
     kernel()->ChargeRepeated(per_interest, ChargeCat::kDevpollScan, run + 1);
     run = 0;
     const PollEvents revents = EvaluateInterest(interest);
@@ -312,7 +335,34 @@ int DevPollDevice::ScanOnce(PollFd* out, int max, bool charge_copyout) {
       emit(interest, revents);
     }
     horizon = kernel()->DeferrableCharges(per_interest);
-  });
+    if (!Idle(interest, fds)) {
+      table_.Mark(interest.fd);
+    }
+  };
+  // A bucket is unmarked before its interests are visited; one left
+  // non-idle, or a mark from an event that a charge runs, marks it again.
+  // Clean buckets hold only idle interests, so a stretch of them joins the
+  // run in one step while it fits under the horizon. A stretch that does not
+  // fit joins bucket by bucket up to the bucket that crosses the horizon,
+  // which is visited interest by interest; its charge may run events that
+  // mark buckets ahead, so the next marked bucket is looked up again.
+  const size_t buckets = table_.bucket_count();
+  size_t bucket = 0;
+  while (bucket < buckets) {
+    const size_t marked = table_.NextMarked(bucket);
+    if (const uint64_t clean = table_.EntriesIn(bucket, marked); run + clean <= horizon) {
+      join(clean);
+      bucket = marked;
+    } else {
+      while (run + table_.bucket_entries(bucket) <= horizon) {
+        join(table_.bucket_entries(bucket++));
+      }
+    }
+    if (bucket < buckets) {
+      table_.Unmark(bucket);
+      table_.ForEachInBucket(bucket++, visit);
+    }
+  }
   kernel()->ChargeRepeated(per_interest, ChargeCat::kDevpollScan, run);
   kernel()->TraceInstant(
       TraceEventType::kScan, "dp_scan",
@@ -366,7 +416,7 @@ int DevPollDevice::PollInternal(DvPoll* args) {
     // The Waiter objects themselves are pooled; only the queue registration
     // churns, which is exactly what the cost model charges for.
     size_t used = 0;
-    table_.ForEach([&](Interest& interest) {
+    auto add_waiter = [&](Interest& interest) {
       // Hintable interests wake us through MarkHint's broadcast — except in
       // exclusive-wait mode, where the broadcast is suppressed and every
       // file (hintable or not) gets an exclusive wait-queue entry so a
@@ -390,7 +440,10 @@ int DevPollDevice::PollInternal(DvPoll* args) {
         ++stats.poll_waitqueue_adds;
         kernel()->Charge(cost.poll_waitqueue_add_per_fd, ChargeCat::kWaitqueue);
       }
-    });
+    };
+    if (options_.exclusive_wait || hintable_ < table_.size()) {
+      table_.ForEach(add_waiter);  // not when every interest is hintable
+    }
     // sciolint: allow(E1) -- woken-vs-timeout is re-derived from the rescan
     (void)kernel()->BlockProcess(*owner_, deadline);
     if (used > 0) {
@@ -427,14 +480,18 @@ int DevPollDevice::IoctlDpWritePoll(std::span<const PollFd> updates, DvPoll* arg
 
 PollEvents DevPollDevice::PollMask() const {
   // Heuristic readiness for composition: pending hints or cached-ready
-  // entries mean a DP_POLL would likely return immediately.
+  // entries mean a DP_POLL would likely return immediately. A clean bucket
+  // holds neither, so only marked buckets are walked.
+  InterestHashTable& table = const_cast<DevPollDevice*>(this)->table_;
   PollEvents mask = 0;
-  auto* self = const_cast<DevPollDevice*>(this);
-  self->table_.ForEach([&](Interest& interest) {
-    if (interest.hint || (interest.cached & (interest.events | kPollAlwaysReported)) != 0) {
-      mask = kPollIn;
-    }
-  });
+  for (size_t b = table.NextMarked(0); b < table.bucket_count() && mask == 0;
+       b = table.NextMarked(b + 1)) {
+    table.ForEachInBucket(b, [&](Interest& interest) {
+      if (interest.hint || (interest.cached & (interest.events | kPollAlwaysReported)) != 0) {
+        mask = kPollIn;
+      }
+    });
+  }
   return mask;
 }
 

@@ -15,6 +15,16 @@
 //   - hinted-first scanning: maintain an active list so a scan touches only
 //     hinted or cached-ready interests instead of the whole set
 //     (DevPollOptions::hinted_first_scan). This is the germ of epoll.
+//
+// The full walk is modelled as the paper's scan of every interest, and the
+// simulator's own work for it follows the hinted set too: the interest
+// table's scan index (interest_table.h) marks each bucket that may hold a
+// non-idle interest. MarkHint, write() and a close of an interest's fd mark
+// the bucket. The walk visits marked buckets interest by interest and adds
+// each stretch of clean buckets to the current charge run in one step, so a
+// scan that crosses no event horizon costs O(marked buckets + bitmap words)
+// in real time, while its charges, counters and results are those of the
+// per-interest walk.
 
 #ifndef SRC_CORE_DEVPOLL_H_
 #define SRC_CORE_DEVPOLL_H_
@@ -83,6 +93,10 @@ class DevPollDevice : public File {
 
   // --- backmap side (driver context) -------------------------------------------
   void MarkHint(int fd, PollEvents mask);
+  // A descriptor holding the file behind fd's interest was closed. The
+  // interest stops being idle (its next scan reports POLLNVAL or rebinds)
+  // without a hint, so only its bucket is marked; nothing is charged.
+  void MarkFdClosed(int fd) { table_.Mark(fd); }
 
   // --- introspection ------------------------------------------------------------
   size_t interest_count() const { return table_.size(); }
@@ -92,6 +106,9 @@ class DevPollDevice : public File {
   int result_capacity() const { return static_cast<int>(result_area_.size()); }
   bool mapped() const { return mapped_; }
   const Interest* FindInterest(int fd) const;
+  // Test hook: mark every bucket, so the next full walk takes every interest
+  // one by one — the reference walk the scan index must match.
+  void MarkEveryBucket() { table_.MarkAll(); }
 
  private:
   // Syscall bodies without the trap charge, shared with the fused ioctl.
@@ -124,6 +141,9 @@ class DevPollDevice : public File {
   // Pooled wait-queue entries for the non-hintable sleep path; grown on
   // demand, reused across sleep/wake cycles.
   std::vector<std::unique_ptr<Waiter>> waiter_pool_;
+  // Interests with hintable set. When it equals the table size (and
+  // exclusive_wait is off), no interest needs a waiter to sleep.
+  size_t hintable_ = 0;
 };
 
 }  // namespace scio

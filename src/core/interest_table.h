@@ -15,6 +15,18 @@
 // until that fd is erased. (The previous layout stored Interest by value in
 // bucket vectors, so any growth moved every entry and silently invalidated
 // references held across a write() batch.)
+//
+// Scan index: one mark bit per bucket meaning "may hold an interest that is
+// not idle", plus the number of entries in each bucket and in each group of
+// 64 buckets (one word of marks), so a stretch of buckets adds up in
+// O(groups). The owner marks a bucket whenever one of its interests may
+// have stopped being idle; the table itself marks a bucket on insert and
+// every bucket on growth. Only the owner's scan unmarks a bucket, and marks
+// it again if an entry it visits is left non-idle. A clean bucket can then
+// be passed over as "this many idle entries" without touching them, while
+// the scan keeps the bucket order, then chain order, that its results
+// depend on. The bits and counts are scan bookkeeping: they are not part of
+// tracked_bytes().
 
 #ifndef SRC_CORE_INTEREST_TABLE_H_
 #define SRC_CORE_INTEREST_TABLE_H_
@@ -77,12 +89,18 @@ class InterestHashTable {
       mem_->Sub(MemSys::kInterests, tracked_bytes());
     }
     buckets_ = std::move(other.buckets_);
+    entries_ = std::move(other.entries_);
+    group_entries_ = std::move(other.group_entries_);
+    marks_ = std::move(other.marks_);
     slab_ = std::move(other.slab_);
     free_ = other.free_;
     size_ = other.size_;
     resize_count_ = other.resize_count_;
     mem_ = other.mem_;  // the moved-to table inherits the registered bytes
     other.buckets_.clear();
+    other.entries_.clear();
+    other.group_entries_.clear();
+    other.marks_.clear();
     other.slab_.clear();
     other.free_ = nullptr;
     other.size_ = 0;
@@ -128,14 +146,31 @@ class InterestHashTable {
   // debug builds.
   template <typename Fn>
   void ForEach(Fn&& fn) {
+    for (size_t b = 0; b < buckets_.size(); ++b) {
+      ForEachInBucket(b, fn);
+    }
+  }
+
+  // Visit one bucket's chain in insertion order, under ForEach's rules.
+  template <typename Fn>
+  void ForEachInBucket(size_t bucket, Fn&& fn) {
     iterating_ = true;
-    for (Node* node : buckets_) {
-      for (; node != nullptr; node = node->next) {
-        fn(node->interest);
-      }
+    for (Node* node = buckets_[bucket]; node != nullptr; node = node->next) {
+      fn(node->interest);
     }
     iterating_ = false;
   }
+
+  // --- scan index (see header comment) -----------------------------------------
+  void Mark(int fd) { MarkBucket(BucketOf(fd)); }
+  void MarkAll();
+  void Unmark(size_t bucket) { marks_[bucket / 64] &= ~(uint64_t{1} << (bucket % 64)); }
+  // The first marked bucket at or after `bucket`, or bucket_count() if none.
+  size_t NextMarked(size_t bucket) const;
+  size_t bucket_entries(size_t bucket) const { return entries_[bucket]; }
+  // Entries in buckets [first, last): O(last - first) / 64 plus two ragged
+  // ends of under 64 buckets each.
+  size_t EntriesIn(size_t first, size_t last) const;
 
  private:
   // Nodes are owned by slab_ (never freed until the table dies) and chained
@@ -146,10 +181,14 @@ class InterestHashTable {
   };
 
   size_t BucketOf(int fd) const { return static_cast<size_t>(fd) & (buckets_.size() - 1); }
+  void MarkBucket(size_t bucket) { marks_[bucket / 64] |= uint64_t{1} << (bucket % 64); }
   Node* TakeNode();
   void MaybeGrow();
 
   std::vector<Node*> buckets_;  // bucket count is a power of two
+  std::vector<uint32_t> entries_;        // chain length per bucket
+  std::vector<uint32_t> group_entries_;  // entries per 64 buckets (one marks_ word)
+  std::vector<uint64_t> marks_;          // one scan-index bit per bucket
   std::vector<std::unique_ptr<Node>> slab_;
   Node* free_ = nullptr;
   size_t size_ = 0;

@@ -30,6 +30,7 @@ int FdTable::Close(int fd) {
   }
   slots_.At(static_cast<size_t>(fd)).reset();
   slots_.ReleaseAt(static_cast<size_t>(fd));
+  file->NotifyDescriptorClosed();
   file->OnFdClose();
   return 0;
 }

@@ -54,8 +54,8 @@ class FdTable {
                : slots_.At(static_cast<size_t>(fd)).get();
   }
 
-  // Returns 0, or -1 if fd was not open (EBADF). Runs the file's OnFdClose
-  // hook before releasing the slot.
+  // Returns 0, or -1 if fd was not open (EBADF). Releases the slot, tells
+  // the file's status listeners, then runs the file's OnFdClose hook.
   int Close(int fd);
 
   int max_fds() const { return max_fds_; }

@@ -29,6 +29,9 @@ class StatusListener {
   virtual ~StatusListener() = default;
   // `mask` is the subset of poll bits whose state just changed (to active).
   virtual void OnFileStatus(File& file, PollEvents mask) = 0;
+  // A descriptor that held `file` was closed. Must not add or remove
+  // listeners on `file`.
+  virtual void OnDescriptorClosed(File& file) { (void)file; }
 };
 
 // How NotifyStatus distributes the RT signal when several processes have
@@ -63,6 +66,14 @@ class File {
 
   // Fan a state change out to listeners, signal owner, and sleepers.
   void NotifyStatus(PollEvents mask);
+
+  // Tell the listeners that a descriptor holding this file was closed
+  // (FdTable::Close).
+  void NotifyDescriptorClosed() {
+    for (StatusListener* l : listeners_) {
+      l->OnDescriptorClosed(*this);
+    }
+  }
 
   void AddStatusListener(StatusListener* listener);
   void RemoveStatusListener(StatusListener* listener);

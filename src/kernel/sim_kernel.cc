@@ -1,5 +1,7 @@
 #include "src/kernel/sim_kernel.h"
 
+#include <algorithm>
+
 namespace scio {
 
 Process& SimKernel::CreateProcess(std::string name, int max_fds) {
@@ -35,20 +37,22 @@ void SimKernel::Charge(std::initializer_list<ChargeItem> items) {
 }
 
 uint64_t SimKernel::DeferrableCharges(SimDuration d) {
+  SimTime bound = sim_->queue().NextTime();
   if (InSmpWorker()) {
-    return 0;  // every worker charge is a scheduling point
+    // The scheduler steps the global clock up to a worker's CPU clock before
+    // granting it, so while a worker runs `start` below reads its clock.
+    bound = std::min(bound, smp_->ChargeHorizon());
   }
-  const SimTime next = sim_->queue().NextTime();
   const SimTime start = sim_->now() + interrupt_debt_;
-  if (next <= start) {
+  if (bound <= start) {
     return 0;
   }
   const SimDuration unit = Scaled(d);
-  if (next == kSimTimeNever || unit <= 0) {
+  if (bound == kSimTimeNever || unit <= 0) {
     return UINT64_MAX;
   }
-  // Largest j with start + j·unit < next.
-  return static_cast<uint64_t>((next - start - 1) / unit);
+  // Largest j with start + j·unit < bound.
+  return static_cast<uint64_t>((bound - start - 1) / unit);
 }
 
 void SimKernel::ChargeRepeated(SimDuration d, ChargeCat cat, uint64_t n) {

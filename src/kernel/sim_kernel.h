@@ -24,10 +24,13 @@
 // Charge runs. A scan that charges the same per-entry cost n times can fold
 // the units into one clock move (ChargeRepeated) as long as none of them
 // would have run an event: unit j of a run is deferrable only while
-//   now + pending debt + j·Scaled(d) < NextTime()
-// (DeferrableCharges is that bound; 0 in SMP worker context, where every
-// charge is a scheduling point). Within the horizon nothing can observe the
-// deferred clock, so the run is bit-identical to n Charge() calls.
+//   now + pending debt + j·Scaled(d) < bound
+// where the bound is NextTime() (DeferrableCharges is that count). In SMP
+// worker context every charge is a scheduling point, so the bound is also
+// capped by SmpPlane::ChargeHorizon(): no deferred unit would have promoted
+// a worker, handed the CPU to another, or drawn a scheduling tie-break.
+// Within the bound nothing can observe the deferred clock, so the run is
+// bit-identical to n Charge() calls.
 //
 // BlockProcess() implements blocking syscalls: it runs simulation events
 // until the process is woken (by a wait-queue wakeup or a signal) or a
@@ -80,6 +83,11 @@ class SmpPlane {
   virtual bool OnBlock(Process& proc, SimTime deadline) = 0;
   // Mirror of TimeAttribution::Add for the running worker's CPU ledger.
   virtual void OnAttribute(ChargeCat cat, SimDuration d) = 0;
+  // The running worker's next scheduling point: the earliest of every other
+  // ready worker's runnable time, every blocked worker's deadline, and now
+  // if a blocked worker is already woken or the kernel is stopped. A charge
+  // that leaves the worker's clock strictly before it changes no schedule.
+  virtual SimTime ChargeHorizon() const = 0;
 };
 
 class SimKernel {

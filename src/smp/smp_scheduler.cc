@@ -1,5 +1,6 @@
 #include "src/smp/smp_scheduler.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/smp/fiber.h"
@@ -84,6 +85,25 @@ bool SmpScheduler::OnBlock(Process& proc, SimTime deadline) {
 
 void SmpScheduler::OnAttribute(ChargeCat cat, SimDuration d) {
   cpu_ledgers_[ctxs_[current_]->cpu].Add(cat, d);
+}
+
+SimTime SmpScheduler::ChargeHorizon() const {
+  // Reschedule after a charge by the running worker is a no-op while its
+  // clock stays strictly below every other ready worker's runnable time (no
+  // handoff, no tie for the LCG to break) and every blocked deadline (no
+  // promotion), and no blocked worker is woken or stopped yet. A ready peer
+  // on the running worker's own CPU is runnable no later than now, so it
+  // leaves no room at all.
+  if (kernel_->stopped() || AnyBlockedWoken()) {
+    return kernel_->now();
+  }
+  SimTime horizon = MinBlockedDeadline();
+  for (size_t i = 0; i < ctxs_.size(); ++i) {
+    if (ctxs_[i]->state == State::kReady && static_cast<int>(i) != current_) {
+      horizon = std::min(horizon, RunnableAt(*ctxs_[i]));
+    }
+  }
+  return horizon;
 }
 
 void SmpScheduler::ChargeLocal(Ctx& ctx, ChargeCat cat, SimDuration d) {

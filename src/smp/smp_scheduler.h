@@ -21,6 +21,12 @@
 // incoming worker's CPU under ChargeCat::kSmpSched, and each CPU keeps its
 // own TimeAttribution ledger; the global ledger invariant
 // attribution().Sum() == busy_time() still holds.
+//
+// Every worker charge reschedules, but most reschedules change nothing.
+// ChargeHorizon() is how far the running worker's clock can move before one
+// would: SimKernel folds the charges of a scan into one clock move up to it
+// (a charge run), which hands off, promotes and tie-breaks exactly as the
+// charges one by one would.
 
 #ifndef SRC_SMP_SMP_SCHEDULER_H_
 #define SRC_SMP_SMP_SCHEDULER_H_
@@ -64,6 +70,7 @@ class SmpScheduler : public SmpPlane {
   void OnCharge(SimDuration total) override;
   bool OnBlock(Process& proc, SimTime deadline) override;
   void OnAttribute(ChargeCat cat, SimDuration d) override;
+  SimTime ChargeHorizon() const override;
 
   int cpus() const { return static_cast<int>(cpu_free_at_.size()); }
   int workers() const { return static_cast<int>(ctxs_.size()); }

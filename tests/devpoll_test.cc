@@ -558,5 +558,201 @@ INSTANTIATE_TEST_SUITE_P(
                       PropertyParam{13, false}, PropertyParam{21, true},
                       PropertyParam{22, true}, PropertyParam{23, true}));
 
+// --- scan index differential ------------------------------------------------------
+//
+// Twin worlds run one seeded sequence. The indexed world's device scans as
+// it always does; the reference world's device has every bucket marked
+// before each scan, which makes its full walk take every interest one by
+// one. The scan index is only a hint, so everything a scan can change must
+// match after every step: results, every KernelStats row, the clock, busy
+// time and the attribution ledger.
+
+// A driver that takes no part in hinting: polled on every scan, and the
+// reason a sleeping DP_POLL registers a waiter.
+class PolledFile : public File {
+ public:
+  explicit PolledFile(SimKernel* kernel) : File(kernel) {}
+  PollEvents PollMask() const override { return mask_; }
+  void SetMask(PollEvents mask) {
+    mask_ = mask;
+    NotifyStatus(mask);
+  }
+
+ private:
+  PollEvents mask_ = 0;
+};
+
+struct ScanTwin {
+  explicit ScanTwin(bool reference)
+      : kernel(&sim),
+        net(&kernel),
+        proc(kernel.CreateProcess("server")),
+        sys(&kernel, &proc, &net),
+        reference(reference),
+        listen_fd(sys.Listen()),
+        listener(sys.listener(listen_fd)),
+        dpfd(sys.OpenDevPoll()),
+        device(sys.devpoll(dpfd)),
+        polled(std::make_shared<PolledFile>(&kernel)),
+        polled_fd(sys.InstallFile(polled)) {}
+  ~ScanTwin() { sim.DiscardPending(); }
+
+  void Write(int fd, PollEvents events) {
+    PollFd update{fd, events, 0};
+    EXPECT_EQ(sys.DevPollWrite(dpfd, {&update, 1}), static_cast<long>(sizeof(PollFd)));
+  }
+
+  void Connect() {
+    auto client = net.Connect(listener);
+    sim.StepUntil([&] { return listener->backlog_depth() > 0; }, sim.now() + Seconds(1));
+    const int fd = sys.Accept(listen_fd);
+    ASSERT_GE(fd, 0);
+    sim.StepUntil([&] { return client->state() == SimSocket::State::kEstablished; },
+                  sim.now() + Seconds(1));
+    clients[fd] = client;
+    Write(fd, kPollIn);
+  }
+
+  // The client sends after `delay`; the hint lands a link latency later,
+  // often in the middle of a scan.
+  void ClientWriteAfter(int fd, SimDuration delay) {
+    sim.ScheduleAfter(delay, [client = clients.at(fd)] { client->Write(Chunk{"x", 0}); });
+  }
+
+  std::vector<PollFd> Poll(int max, int timeout_ms) {
+    if (reference) {
+      device->MarkEveryBucket();
+    }
+    std::vector<PollFd> results(static_cast<size_t>(max));
+    DvPoll args{results.data(), max, timeout_ms};
+    const uint64_t hints_before = kernel.stats().devpoll_hints_set;
+    const int n = sys.DevPollPoll(dpfd, &args);
+    // A non-blocking DP_POLL spends nearly all its time in the scan.
+    hinted_mid_scan += timeout_ms == 0 && kernel.stats().devpoll_hints_set > hints_before;
+    results.resize(static_cast<size_t>(n < 0 ? 0 : n));
+    return results;
+  }
+
+  Simulator sim;
+  SimKernel kernel;
+  NetStack net;
+  Process& proc;
+  Sys sys;
+  bool reference;
+  int listen_fd;
+  std::shared_ptr<SimListener> listener;
+  int dpfd;
+  std::shared_ptr<DevPollDevice> device;
+  std::shared_ptr<PolledFile> polled;
+  int polled_fd;
+  std::map<int, std::shared_ptr<SimSocket>> clients;  // open server fd -> client
+  size_t bytes_read = 0;
+  int hinted_mid_scan = 0;
+};
+
+void ExpectSameWorld(ScanTwin& indexed, ScanTwin& reference, int step) {
+  ASSERT_EQ(indexed.kernel.now(), reference.kernel.now()) << "step " << step;
+  ASSERT_EQ(indexed.kernel.busy_time(), reference.kernel.busy_time()) << "step " << step;
+  ASSERT_EQ(indexed.kernel.attribution().Signature(),
+            reference.kernel.attribution().Signature())
+      << "step " << step;
+  ASSERT_EQ(indexed.kernel.stats().ToRows(), reference.kernel.stats().ToRows())
+      << "step " << step;
+  ASSERT_EQ(indexed.device->interest_count(), reference.device->interest_count());
+  ASSERT_EQ(indexed.bytes_read, reference.bytes_read) << "step " << step;
+}
+
+class DevPollScanIndex : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DevPollScanIndex, IndexedWalkMatchesPerInterestWalk) {
+  ScanTwin indexed(/*reference=*/false);
+  ScanTwin reference(/*reference=*/true);
+  ScanTwin* twins[] = {&indexed, &reference};
+  Rng rng(GetParam());
+  for (int step = 0; step < 3000; ++step) {
+    std::vector<int> open;
+    for (const auto& [fd, client] : indexed.clients) {
+      open.push_back(fd);
+    }
+    const int fd = open.empty() ? -1
+                                : open[static_cast<size_t>(
+                                      rng.UniformInt(0, static_cast<int64_t>(open.size()) - 1))];
+    const double op = rng.NextDouble();
+    const SimDuration delay = Micros(rng.UniformInt(0, 400));
+    const PollEvents events = rng.Bernoulli(0.5) ? kPollIn
+                                                 : static_cast<PollEvents>(kPollIn | kPollOut);
+    const int max = static_cast<int>(rng.UniformInt(1, 64));
+    const int timeout_ms = rng.Bernoulli(0.2) ? 1 : 0;
+    const bool drop_stale = rng.Bernoulli(0.5);
+    const PollEvents polled_mask = rng.Bernoulli(0.3) ? kPollIn : 0;
+    std::vector<PollFd> results[2];
+    for (int t = 0; t < 2; ++t) {
+      ScanTwin& w = *twins[t];
+      if (op < 0.16 || fd < 0) {
+        w.Connect();  // takes the lowest closed fd, if any
+      } else if (op < 0.32) {
+        w.ClientWriteAfter(fd, delay);
+      } else if (op < 0.36) {
+        w.bytes_read += w.sys.Read(fd, 16).n;
+      } else if (op < 0.42) {
+        w.Write(fd, events);
+      } else if (op < 0.45) {
+        w.Write(fd, kPollRemove);
+      } else if (op < 0.49) {
+        ASSERT_EQ(w.sys.Close(fd), 0);  // the interest outlives the fd
+        w.clients.erase(fd);
+      } else if (op < 0.51) {
+        w.Write(fd, kPollRemove);
+        ASSERT_EQ(w.sys.Close(fd), 0);
+        w.clients.erase(fd);
+      } else if (op < 0.54) {
+        // The non-hinting driver: in the set or out, ready or not.
+        w.Write(w.polled_fd, events == kPollIn ? kPollIn : kPollRemove);
+        w.sim.ScheduleAfter(delay, [&w, polled_mask] { w.polled->SetMask(polled_mask); });
+      } else if (op < 0.58) {
+        w.sim.AdvanceTo(w.sim.now() + delay);
+      } else {
+        results[t] = w.Poll(max, timeout_ms);
+      }
+    }
+    ASSERT_EQ(results[0].size(), results[1].size()) << "step " << step;
+    for (size_t i = 0; i < results[0].size(); ++i) {
+      ASSERT_EQ(results[0][i].fd, results[1][i].fd) << "step " << step;
+      ASSERT_EQ(results[0][i].revents, results[1][i].revents) << "step " << step;
+    }
+    ExpectSameWorld(indexed, reference, step);
+    // Serve what was reported, as a server would: drain readable
+    // connections, drop POLLOUT once it has been seen, and (sometimes)
+    // remove a stale fd; one left in place is rebound when the fd is reused.
+    for (int t = 0; t < 2; ++t) {
+      ScanTwin& w = *twins[t];
+      for (const PollFd& ready : results[t]) {
+        if ((ready.revents & kPollNval) != 0 && drop_stale) {
+          w.Write(ready.fd, kPollRemove);
+        }
+        if (w.clients.count(ready.fd) == 0) {
+          continue;  // stale or the non-hinting driver
+        }
+        if ((ready.revents & kPollIn) != 0) {
+          w.bytes_read += w.sys.Read(ready.fd, 4096).n;
+        }
+        if ((ready.events & kPollOut) != 0) {
+          w.Write(ready.fd, kPollIn);
+        }
+      }
+    }
+    ExpectSameWorld(indexed, reference, step);
+  }
+  const KernelStats& stats = indexed.kernel.stats();
+  EXPECT_GE(stats.devpoll_table_resizes, 4u) << "the table grew through several doublings";
+  EXPECT_GT(stats.devpoll_scan_stale_fd, 0u) << "closed fds stayed registered";
+  EXPECT_GT(stats.poll_waitqueue_adds, 0u) << "a DP_POLL slept with the non-hinting driver";
+  EXPECT_GT(stats.devpoll_driver_calls_avoided, 2 * stats.devpoll_driver_calls)
+      << "most interests were idle, so clean buckets were passed over";
+  EXPECT_GT(indexed.hinted_mid_scan, 10) << "hints landed during scans";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DevPollScanIndex, ::testing::Values(1ull, 2ull, 3ull));
+
 }  // namespace
 }  // namespace scio

@@ -154,12 +154,50 @@ TEST(InterestTableTest, ForEachOrderDeterministicAcrossIdenticalBuilds) {
   EXPECT_EQ(order_a.size(), 18u);
 }
 
+TEST(InterestTableTest, ScanIndexMarksInsertsAndEveryBucketOnGrowth) {
+  InterestHashTable table(8);
+  EXPECT_EQ(table.NextMarked(0), table.bucket_count()) << "an empty table is clean";
+  bool inserted;
+  table.FindOrInsert(3, &inserted);
+  table.FindOrInsert(11, &inserted);  // same bucket as 3
+  EXPECT_EQ(table.NextMarked(0), 3u) << "an insert marks its bucket";
+  EXPECT_EQ(table.NextMarked(4), table.bucket_count());
+  EXPECT_EQ(table.bucket_entries(3), 2u);
+  EXPECT_EQ(table.EntriesIn(0, table.bucket_count()), 2u);
+
+  table.Unmark(3);
+  EXPECT_EQ(table.NextMarked(0), table.bucket_count());
+  table.Mark(19);  // fd 19 hashes to bucket 3 too
+  EXPECT_EQ(table.NextMarked(0), 3u);
+  table.Unmark(3);
+  table.Erase(11);
+  EXPECT_EQ(table.NextMarked(0), table.bucket_count()) << "an erase leaves the bit alone";
+  EXPECT_EQ(table.bucket_entries(3), 1u);
+
+  for (int fd = 100; table.resize_count() == 0; ++fd) {
+    table.FindOrInsert(fd, &inserted);
+  }
+  ASSERT_EQ(table.bucket_count(), 16u);
+  for (size_t b = 0; b < table.bucket_count(); ++b) {
+    EXPECT_EQ(table.NextMarked(b), b) << "growth marks every bucket";
+  }
+  for (size_t b = 0; b < table.bucket_count(); ++b) {
+    table.Unmark(b);
+  }
+  table.MarkAll();
+  EXPECT_EQ(table.NextMarked(table.bucket_count() - 1), table.bucket_count() - 1);
+  table.Unmark(table.bucket_count() - 1);
+  EXPECT_EQ(table.NextMarked(table.bucket_count() - 1), table.bucket_count())
+      << "MarkAll sets no bit past the last bucket";
+}
+
 // Property sweep: for any insertion pattern, the invariant
 // size <= 2 * bucket_count holds and no entry is ever lost.
 class InterestTableProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(InterestTableProperty, InvariantUnderRandomChurn) {
   Rng rng(GetParam());
+  Rng ranges(GetParam() + 1);  // EntriesIn probes; keeps rng's churn sequence
   InterestHashTable table;
   std::set<int> model;
   for (int step = 0; step < 5000; ++step) {
@@ -173,6 +211,22 @@ TEST_P(InterestTableProperty, InvariantUnderRandomChurn) {
     }
     ASSERT_EQ(table.size(), model.size());
     ASSERT_LE(table.size(), table.bucket_count() * 2) << "growth rule violated";
+    // The scan index's per-bucket counts are the chain lengths.
+    for (size_t b = 0; b < table.bucket_count(); ++b) {
+      size_t chain = 0;
+      table.ForEachInBucket(b, [&](Interest&) { ++chain; });
+      ASSERT_EQ(table.bucket_entries(b), chain) << "bucket " << b << " at step " << step;
+    }
+    ASSERT_EQ(table.EntriesIn(0, table.bucket_count()), table.size());
+    const size_t first = static_cast<size_t>(
+        ranges.UniformInt(0, static_cast<int64_t>(table.bucket_count())));
+    const size_t last = static_cast<size_t>(ranges.UniformInt(
+        static_cast<int64_t>(first), static_cast<int64_t>(table.bucket_count())));
+    size_t expected = 0;
+    for (size_t b = first; b < last; ++b) {
+      expected += table.bucket_entries(b);
+    }
+    ASSERT_EQ(table.EntriesIn(first, last), expected) << "[" << first << ", " << last << ")";
   }
   // Exhaustive final cross-check.
   for (int fd = 0; fd <= 700; ++fd) {

@@ -146,26 +146,181 @@ TEST(SmpScheduler, PerCpuLedgersSumToWorkerBusyTime) {
   EXPECT_EQ(kernel.attribution().Sum(), kernel.busy_time());
 }
 
-TEST(SmpScheduler, ChargeRunHorizonIsZeroInsideAWorker) {
-  // Every worker charge is a scheduling point, so no charge may be deferred
-  // there — even with an empty event queue, where the main context's horizon
-  // is unbounded.
+// --- per-CPU charge horizon -----------------------------------------------------
+//
+// In a worker, DeferrableCharges counts the units that keep the worker's
+// clock strictly below its next scheduling point (SmpPlane::ChargeHorizon).
+// The bodies below reach a known state whichever worker the seeded tie-break
+// grants first: both workers pay a 5 µs first switch, then A charges 10 µs
+// and B does its part, so A asks at 15 µs.
+
+TEST(SmpChargeHorizon, AnotherReadyWorkerBoundsTheRunStrictly) {
   Simulator sim;
   SimKernel kernel(&sim);
   Process& a = kernel.CreateProcess("a");
-  EXPECT_EQ(kernel.DeferrableCharges(Micros(1)), UINT64_MAX);
+  Process& b = kernel.CreateProcess("b");
+  SimTime asked_at = 0;
+  uint64_t horizon_1us = 0;
+  uint64_t horizon_10us = 0;
+  SmpScheduler sched(&kernel, /*cpus=*/2, /*seed=*/1);
+  sched.AddWorker(&a, [&] {
+    kernel.Charge(Micros(10), ChargeCat::kOther);
+    asked_at = kernel.now();
+    horizon_1us = kernel.DeferrableCharges(Micros(1));
+    horizon_10us = kernel.DeferrableCharges(Micros(10));
+  });
+  // B, on the other CPU, is next runnable at 5 + 100 µs.
+  sched.AddWorker(&b, [&] { kernel.Charge(Micros(100), ChargeCat::kOther); });
+  sched.Run();
+  ASSERT_EQ(asked_at, Micros(15));
+  EXPECT_EQ(horizon_1us, 89u) << "15 + 89 µs < 105 µs";
+  EXPECT_EQ(horizon_10us, 8u) << "a 9th unit would end at 105 µs, tying with B";
+}
 
-  uint64_t in_worker = 1;
+TEST(SmpChargeHorizon, BlockedDeadlineBoundsTheRun) {
+  Simulator sim;
+  SimKernel kernel(&sim);
+  Process& a = kernel.CreateProcess("a");
+  Process& b = kernel.CreateProcess("b");
+  uint64_t horizon = 0;
+  bool b_woken = true;
+  SmpScheduler sched(&kernel, /*cpus=*/2, /*seed=*/1);
+  sched.AddWorker(&a, [&] {
+    kernel.Charge(Micros(10), ChargeCat::kOther);
+    horizon = kernel.DeferrableCharges(Micros(1));
+  });
+  sched.AddWorker(&b, [&] { b_woken = kernel.BlockProcess(b, Micros(200)); });
+  sched.Run();
+  EXPECT_EQ(horizon, 184u) << "15 + 184 µs < the 200 µs deadline";
+  EXPECT_FALSE(b_woken);
+  EXPECT_EQ(kernel.now(), Micros(200));
+}
+
+TEST(SmpChargeHorizon, WokenBlockedWorkerLeavesNoRoom) {
+  Simulator sim;
+  SimKernel kernel(&sim);
+  Process& a = kernel.CreateProcess("a");
+  Process& b = kernel.CreateProcess("b");
+  uint64_t before_wake = 0;
+  uint64_t after_wake = 1;
+  uint64_t after_stop = 1;
+  bool b_woken = false;
+  SmpScheduler sched(&kernel, /*cpus=*/2, /*seed=*/1);
+  sched.AddWorker(&a, [&] {
+    kernel.Charge(Micros(10), ChargeCat::kOther);
+    before_wake = kernel.DeferrableCharges(Micros(1));
+    b.Wake();
+    after_wake = kernel.DeferrableCharges(Micros(1));
+    kernel.RequestStop();
+    after_stop = kernel.DeferrableCharges(Micros(1));
+  });
+  sched.AddWorker(&b, [&] { b_woken = kernel.BlockProcess(b, kSimTimeNever); });
+  sched.Run();
+  EXPECT_EQ(before_wake, UINT64_MAX) << "no deadline, no peer, no event";
+  EXPECT_EQ(after_wake, 0u) << "B is promoted at the next reschedule";
+  EXPECT_EQ(after_stop, 0u);
+  EXPECT_TRUE(b_woken);
+}
+
+TEST(SmpChargeHorizon, LoneWorkerWithNoEventsIsUnbounded) {
+  Simulator sim;
+  SimKernel kernel(&sim);
+  Process& a = kernel.CreateProcess("a");
+  uint64_t in_worker = 0;
   SmpScheduler sched(&kernel, /*cpus=*/1, /*seed=*/1);
   sched.AddWorker(&a, [&] {
     in_worker = kernel.DeferrableCharges(Micros(1));
     kernel.ChargeRepeated(Micros(1), ChargeCat::kDevpollScan, 10);
   });
   sched.Run();
-  EXPECT_EQ(in_worker, 0u);
+  EXPECT_EQ(in_worker, UINT64_MAX);
   EXPECT_EQ(sched.cpu_ledger(0)[ChargeCat::kDevpollScan], Micros(10))
-      << "a run in worker context still lands on the worker's CPU ledger";
+      << "a run in worker context lands on the worker's CPU ledger";
   EXPECT_EQ(kernel.attribution().Sum(), kernel.busy_time());
+}
+
+// ChargeRepeated(d, cat, n) in a worker must schedule exactly like n
+// Charge(d, cat) calls: three workers on two CPUs (two share CPU 0), one of
+// them blocking with deadlines, woken by events (which also add interrupt
+// debt) and by another worker's body. Everything the schedule decides is
+// compared.
+struct PoolTrace {
+  std::vector<std::string> log;  // bodies and events, in execution order
+  std::vector<std::string> cpu_ledgers;
+  std::string ledger;
+  uint64_t context_switches = 0;
+  SimTime end = 0;
+  SimDuration busy = 0;
+  uint64_t deferrable_asks = 0;  // how often a worker could defer a unit
+};
+
+PoolTrace RunChargePool(bool repeated) {
+  Simulator sim;
+  SimKernel kernel(&sim);
+  std::vector<Process*> procs;
+  for (int i = 0; i < 3; ++i) {
+    procs.push_back(&kernel.CreateProcess("w" + std::to_string(i)));
+  }
+  PoolTrace trace;
+  for (int i = 0; i < 120; ++i) {
+    sim.ScheduleAt(Micros(2) + i * 9'731, [&, i] {
+      trace.log.push_back("event " + std::to_string(i) + " @" + std::to_string(sim.now()));
+      kernel.ChargeDebt(Nanos(300 + 7 * i), ChargeCat::kInterrupt);
+      if (i % 5 == 0) {
+        procs[2]->Wake();
+      }
+    });
+  }
+  SmpScheduler sched(&kernel, /*cpus=*/2, /*seed=*/5);
+  for (int w = 0; w < 3; ++w) {
+    sched.AddWorker(procs[static_cast<size_t>(w)], [&, w] {
+      const SimDuration unit = 97 + 13 * w;
+      for (int round = 0; round < 25; ++round) {
+        if (w == 0 && round % 4 == 1) {
+          procs[2]->Wake();  // a body wakes a sleeper, too
+        }
+        const uint64_t n = 3 + static_cast<uint64_t>((round * 7 + w * 11) % 41);
+        if (repeated) {
+          trace.deferrable_asks += kernel.DeferrableCharges(unit) > 0 ? 1 : 0;
+          kernel.ChargeRepeated(unit, ChargeCat::kDevpollScan, n);
+        } else {
+          for (uint64_t k = 0; k < n; ++k) {
+            kernel.Charge(unit, ChargeCat::kDevpollScan);
+          }
+        }
+        trace.log.push_back("w" + std::to_string(w) + " round " + std::to_string(round) +
+                            " @" + std::to_string(kernel.now()));
+        if (w == 2) {
+          const bool woken =
+              kernel.BlockProcess(*procs[2], kernel.now() + Micros(round % 2 == 0 ? 3 : 15));
+          trace.log.push_back(woken ? "w2 woken" : "w2 timed out");
+        }
+      }
+    });
+  }
+  sched.Run();
+  for (int cpu = 0; cpu < sched.cpus(); ++cpu) {
+    trace.cpu_ledgers.push_back(sched.cpu_ledger(cpu).Signature());
+  }
+  trace.ledger = kernel.attribution().Signature();
+  trace.context_switches = kernel.stats().smp_context_switches;
+  trace.end = kernel.now();
+  trace.busy = kernel.busy_time();
+  sim.DiscardPending();
+  return trace;
+}
+
+TEST(SmpChargeHorizon, ChargeRunsScheduleLikePerUnitCharges) {
+  const PoolTrace runs = RunChargePool(/*repeated=*/true);
+  const PoolTrace units = RunChargePool(/*repeated=*/false);
+  EXPECT_EQ(runs.log, units.log);
+  EXPECT_EQ(runs.cpu_ledgers, units.cpu_ledgers);
+  EXPECT_EQ(runs.ledger, units.ledger);
+  EXPECT_EQ(runs.context_switches, units.context_switches);
+  EXPECT_EQ(runs.end, units.end);
+  EXPECT_EQ(runs.busy, units.busy);
+  EXPECT_GT(runs.context_switches, 10u) << "the workers really interleaved";
+  EXPECT_GT(runs.deferrable_asks, 10u) << "the runs really deferred units";
 }
 
 TEST(SmpScheduler, WorkerStackLocalsSurviveManyHandoffs) {
@@ -247,7 +402,7 @@ TEST(SmpScheduler, RunsOwnContextIsNotAWorker) {
 
   // The first context switch occupies the CPU for 5 µs, so Run() steps this
   // event on its own context before granting the worker anything. The
-  // kernel agrees: only outside a worker may charges be deferred.
+  // kernel agrees: outside a worker only the event queue bounds a charge run.
   std::vector<std::string> log;
   uint64_t event_horizon = 0;
   sim.ScheduleAt(0, [&] {
