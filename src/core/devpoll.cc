@@ -399,67 +399,55 @@ int DevPollDevice::PollInternal(DvPoll* args) {
     return -1;
   }
 
-  const SimTime deadline = args->dp_timeout < 0
-                               ? kSimTimeNever
-                               : kernel()->now() + Millis(args->dp_timeout);
-  while (true) {
-    const int ready = ScanOnce(out, max, /*charge_copyout=*/!use_mapping);
-    if (ready > 0 || args->dp_timeout == 0 || kernel()->stopped()) {
-      return ready;
+  auto scan = [&] { return ScanOnce(out, max, /*charge_copyout=*/!use_mapping); };
+  // Sleep. Hintable interests wake us through MarkHint; anything else needs
+  // classic per-file wait queue entries (with their churn costs). The Waiter
+  // objects themselves are pooled; only the queue registration churns,
+  // which is exactly what the cost model charges for.
+  size_t used = 0;
+  auto add_waiter = [&](Interest& interest) {
+    // Hintable interests wake us through MarkHint's broadcast — except in
+    // exclusive-wait mode, where the broadcast is suppressed and every file
+    // (hintable or not) gets an exclusive wait-queue entry so a wake_up()
+    // rouses one sharer instead of the herd.
+    if (interest.hintable && !options_.exclusive_wait) {
+      return;
     }
-    if (kernel()->now() >= deadline) {
-      return 0;
+    if (std::shared_ptr<File> file = interest.file.lock()) {
+      if (used == waiter_pool_.size()) {
+        // sciolint: allow(H1) -- bounded one-time pool growth to high-water
+        waiter_pool_.push_back(std::make_unique<Waiter>(
+            [proc = owner_] { proc->Wake(); }));
+      }
+      if (options_.exclusive_wait) {
+        file->poll_wait().AddExclusive(waiter_pool_[used].get());
+        ++stats.wait_exclusive_adds;
+      } else {
+        file->poll_wait().Add(waiter_pool_[used].get());
+      }
+      ++used;
+      ++stats.poll_waitqueue_adds;
+      kernel()->Charge(cost.poll_waitqueue_add_per_fd, ChargeCat::kWaitqueue);
     }
-
-    // Sleep. Hintable interests wake us through MarkHint; anything else
-    // needs classic per-file wait queue entries (with their churn costs).
-    // The Waiter objects themselves are pooled; only the queue registration
-    // churns, which is exactly what the cost model charges for.
-    size_t used = 0;
-    auto add_waiter = [&](Interest& interest) {
-      // Hintable interests wake us through MarkHint's broadcast — except in
-      // exclusive-wait mode, where the broadcast is suppressed and every
-      // file (hintable or not) gets an exclusive wait-queue entry so a
-      // wake_up() rouses one sharer instead of the herd.
-      if (interest.hintable && !options_.exclusive_wait) {
-        return;
-      }
-      if (std::shared_ptr<File> file = interest.file.lock()) {
-        if (used == waiter_pool_.size()) {
-          // sciolint: allow(H1) -- bounded one-time pool growth to high-water
-          waiter_pool_.push_back(std::make_unique<Waiter>(
-              [proc = owner_] { proc->Wake(); }));
-        }
-        if (options_.exclusive_wait) {
-          file->poll_wait().AddExclusive(waiter_pool_[used].get());
-          ++stats.wait_exclusive_adds;
-        } else {
-          file->poll_wait().Add(waiter_pool_[used].get());
-        }
-        ++used;
-        ++stats.poll_waitqueue_adds;
-        kernel()->Charge(cost.poll_waitqueue_add_per_fd, ChargeCat::kWaitqueue);
-      }
-    };
+  };
+  auto arm = [&] {
+    used = 0;
     if (options_.exclusive_wait || hintable_ < table_.size()) {
       table_.ForEach(add_waiter);  // not when every interest is hintable
     }
-    // sciolint: allow(E1) -- woken-vs-timeout is re-derived from the rescan
-    (void)kernel()->BlockProcess(*owner_, deadline);
+  };
+  // As in poll(), the removals are charged before the detach.
+  auto disarm = [&] {
     if (used > 0) {
       stats.poll_waitqueue_removes += used;
-      kernel()->Charge(cost.poll_waitqueue_remove_per_fd *
-                           static_cast<SimDuration>(used),
+      kernel()->Charge(cost.poll_waitqueue_remove_per_fd * static_cast<SimDuration>(used),
                        ChargeCat::kWaitqueue);
       for (size_t i = 0; i < used; ++i) {
         waiter_pool_[i]->Detach();
       }
     }
-    if (FaultPlane* fault = kernel()->fault();
-        fault != nullptr && fault->InjectEintr()) {
-      return kErrIntr;
-    }
-  }
+  };
+  return kernel()->WaitFor(*owner_, args->dp_timeout, scan, arm, disarm);
 }
 
 int DevPollDevice::IoctlDpWritePoll(std::span<const PollFd> updates, DvPoll* args) {

@@ -79,7 +79,8 @@ class DevPollDevice : public File {
 
   // ioctl(DP_POLL): wait for events. With args->dp_fds == nullptr, results
   // are deposited in the mmap'ed area (no copy-out charge). Returns the
-  // number of ready descriptors, 0 on timeout, -1 on bad arguments.
+  // number of ready descriptors, 0 on timeout, kErrIntr when a signal
+  // interrupts the sleep (SimKernel::WaitFor), -1 on bad arguments.
   int IoctlDpPoll(DvPoll* args);
 
   // Fused update+wait (§6 future work): one syscall charge for both.

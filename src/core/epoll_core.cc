@@ -212,38 +212,26 @@ int EpollDevice::Wait(PollFd* out, int max, int timeout_ms) {
   if (closed_ || out == nullptr || max <= 0) {
     return -1;
   }
-  const SimTime deadline =
-      timeout_ms < 0 ? kSimTimeNever : kernel()->now() + Millis(timeout_ms);
-  while (true) {
-    const int ready = HarvestOnce(out, max);
-    if (ready > 0 || timeout_ms == 0 || kernel()->stopped()) {
-      trace.set_result(ready);
-      return ready;
-    }
-    if (kernel()->now() >= deadline) {
-      trace.set_result(0);
-      return 0;
-    }
-    // Sleep as ONE exclusive waiter on the device's own queue — this is the
-    // structural win over poll(): one wait-queue registration per sleep,
-    // regardless of interest-set size, and a wake_up() rouses one sharer.
-    // The waiter is a pooled member (constructed with the device) so this
-    // loop stays allocation-free.
+  // Sleep as ONE exclusive waiter on the device's own queue — this is the
+  // structural win over poll(): one wait-queue registration per sleep,
+  // regardless of interest-set size, and a wake_up() rouses one sharer. The
+  // waiter is a pooled member (constructed with the device) so the wait
+  // stays allocation-free.
+  auto arm = [&] {
     poll_wait().AddExclusive(&waiter_);
     ++stats.wait_exclusive_adds;
     ++stats.poll_waitqueue_adds;
     kernel()->Charge(cost.poll_waitqueue_add_per_fd, ChargeCat::kWaitqueue);
-    // sciolint: allow(E1) -- woken-vs-timeout is re-derived from the reharvest
-    (void)kernel()->BlockProcess(*owner_, deadline);
+  };
+  auto disarm = [&] {
     waiter_.Detach();
     ++stats.poll_waitqueue_removes;
     kernel()->Charge(cost.poll_waitqueue_remove_per_fd, ChargeCat::kWaitqueue);
-    if (FaultPlane* fault = kernel()->fault();
-        fault != nullptr && fault->InjectEintr()) {
-      trace.set_result(kErrIntr);
-      return kErrIntr;
-    }
-  }
+  };
+  const int rc = kernel()->WaitFor(
+      *owner_, timeout_ms, [&] { return HarvestOnce(out, max); }, arm, disarm);
+  trace.set_result(rc);
+  return rc;
 }
 
 PollEvents EpollDevice::PollMask() const {

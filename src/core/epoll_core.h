@@ -16,9 +16,9 @@
 //     edge-triggered interests re-arm only on a fresh driver notification;
 //   - kEpollOneshot disables the interest after one delivery until a
 //     kEpollCtlMod re-arms it;
-//   - a blocking wait sleeps as an *exclusive* waiter on the device's own
-//     wait queue, so a driver notification wakes exactly one sleeper
-//     (the SMP wake-one fix, applied at the event-core layer).
+//   - a blocking wait (SimKernel::WaitFor) sleeps as an *exclusive* waiter
+//     on the device's own wait queue, so a driver notification wakes
+//     exactly one sleeper (the SMP wake-one fix, at the event-core layer).
 
 #ifndef SRC_CORE_EPOLL_CORE_H_
 #define SRC_CORE_EPOLL_CORE_H_

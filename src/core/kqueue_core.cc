@@ -308,36 +308,24 @@ int KqueueDevice::Kevent(std::span<const KEvent> changes,
     return 0;  // pure changelist application
   }
 
-  const SimTime deadline =
-      timeout_ms < 0 ? kSimTimeNever : kernel()->now() + Millis(timeout_ms);
-  while (true) {
-    const int ready = HarvestOnce(events);
-    if (ready > 0 || timeout_ms == 0 || kernel()->stopped()) {
-      trace.set_result(ready);
-      return ready;
-    }
-    if (kernel()->now() >= deadline) {
-      trace.set_result(0);
-      return 0;
-    }
-    // One exclusive waiter on the kqueue's own queue (wake-one), same
-    // structural win as the epoll core. The waiter is a pooled member
-    // (constructed with the device) so this loop stays allocation-free.
+  // One exclusive waiter on the kqueue's own queue (wake-one), same
+  // structural win as the epoll core. The waiter is a pooled member
+  // (constructed with the device) so the wait stays allocation-free.
+  auto arm = [&] {
     poll_wait().AddExclusive(&waiter_);
     ++stats.wait_exclusive_adds;
     ++stats.poll_waitqueue_adds;
     kernel()->Charge(cost.poll_waitqueue_add_per_fd, ChargeCat::kWaitqueue);
-    // sciolint: allow(E1) -- woken-vs-timeout is re-derived from the reharvest
-    (void)kernel()->BlockProcess(*owner_, deadline);
+  };
+  auto disarm = [&] {
     waiter_.Detach();
     ++stats.poll_waitqueue_removes;
     kernel()->Charge(cost.poll_waitqueue_remove_per_fd, ChargeCat::kWaitqueue);
-    if (FaultPlane* fault = kernel()->fault();
-        fault != nullptr && fault->InjectEintr()) {
-      trace.set_result(kErrIntr);
-      return kErrIntr;
-    }
-  }
+  };
+  const int rc = kernel()->WaitFor(
+      *owner_, timeout_ms, [&] { return HarvestOnce(events); }, arm, disarm);
+  trace.set_result(rc);
+  return rc;
 }
 
 PollEvents KqueueDevice::PollMask() const {

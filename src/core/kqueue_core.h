@@ -16,8 +16,8 @@
 //     only a fresh driver notification reactivates); without it a knote is
 //     level-triggered and re-reports while the filter holds;
 //   - EV_ONESHOT deletes the knote after one delivery;
-//   - blocking waits sleep as one exclusive waiter on the kqueue's own wait
-//     queue (wake-one, like the epoll core).
+//   - blocking waits (SimKernel::WaitFor) sleep as one exclusive waiter on
+//     the kqueue's own wait queue (wake-one, like the epoll core).
 
 #ifndef SRC_CORE_KQUEUE_CORE_H_
 #define SRC_CORE_KQUEUE_CORE_H_

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "src/kernel/fd_table.h"
-#include "src/kernel/sys_errno.h"
 
 namespace scio {
 
@@ -67,29 +66,28 @@ int PollSyscall::Poll(std::span<PollFd> fds, int timeout_ms) {
                    {ChargeCat::kPollfdCopyin,
                     cost.poll_copyin_per_fd * static_cast<SimDuration>(fds.size())}});
 
-  const SimTime deadline =
-      timeout_ms < 0 ? kSimTimeNever : kernel_->now() + Millis(timeout_ms);
-  while (true) {
+  auto scan = [&] {
     const int ready = ScanOnce(fds);
-    if (ready > 0 || timeout_ms == 0 || kernel_->stopped()) {
+    // Results are copied out when the scan ends the wait, never at the
+    // deadline: a zero-length copy-out still pays the interrupt debt.
+    if (kernel_->ScanEndsWait(ready, timeout_ms)) {
       stats.poll_results_copied += static_cast<uint64_t>(ready);
       kernel_->Charge(cost.poll_copyout_per_ready * static_cast<SimDuration>(ready),
                       ChargeCat::kResultCopyout);
-      trace.set_result(ready);
-      return ready;
     }
-    if (kernel_->now() >= deadline) {
-      return 0;
-    }
-
-    // Sleep: enqueue a waiter on every polled file, then tear them all down
-    // on wake — the wait-queue churn of §6. The Waiter objects are pooled;
-    // only the queue registrations churn, which is what the model charges.
-    size_t used = 0;
+    return ready;
+  };
+  // Sleep: enqueue a waiter on every polled file, then tear them all down on
+  // wake — the wait-queue churn of §6. The Waiter objects are pooled; only
+  // the queue registrations churn, which is what the model charges.
+  size_t used = 0;
+  auto arm = [&] {
+    used = 0;
     for (const PollFd& pfd : fds) {
       if (pfd.fd < 0) {
         continue;
       }
+      // Held across the add charge, whose events may close the fd.
       std::shared_ptr<File> file = proc_->fds().Get(pfd.fd);
       if (file == nullptr) {
         continue;
@@ -111,23 +109,22 @@ int PollSyscall::Poll(std::span<PollFd> fds, int timeout_ms) {
         kernel_->Charge(cost.poll_waitqueue_add_per_fd, ChargeCat::kWaitqueue);
       }
     }
-    // sciolint: allow(E1) -- woken-vs-timeout is re-derived from the rescan
-    (void)kernel_->BlockProcess(*proc_, deadline);
+  };
+  // The removals are charged before the detach: a wake that lands inside
+  // the charge still reaches a registered waiter.
+  auto disarm = [&] {
     stats.poll_waitqueue_removes += used;
     if (options_.charge_waitqueue) {
-      kernel_->Charge(cost.poll_waitqueue_remove_per_fd *
-                          static_cast<SimDuration>(used),
+      kernel_->Charge(cost.poll_waitqueue_remove_per_fd * static_cast<SimDuration>(used),
                       ChargeCat::kWaitqueue);
     }
     for (size_t i = 0; i < used; ++i) {
       waiter_pool_[i]->Detach();
     }
-    if (FaultPlane* fault = kernel_->fault();
-        fault != nullptr && fault->InjectEintr()) {
-      trace.set_result(kErrIntr);
-      return kErrIntr;  // a signal interrupted the sleep; caller must retry
-    }
-  }
+  };
+  const int rc = kernel_->WaitFor(*proc_, timeout_ms, scan, arm, disarm);
+  trace.set_result(rc);
+  return rc;  // kErrIntr: a signal interrupted the sleep; caller must retry
 }
 
 }  // namespace scio

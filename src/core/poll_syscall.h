@@ -4,7 +4,8 @@
 // whole interest set into the kernel, invokes each file's driver poll
 // callback, and — when it has to sleep — adds and removes a wait-queue entry
 // per file per sleep/wake cycle (the churn Brown fingered in §6). Every one
-// of those operations is charged to the cost model.
+// of those operations is charged to the cost model. The sleep follows
+// SimKernel::WaitFor, the protocol every blocking wait shares.
 
 #ifndef SRC_CORE_POLL_SYSCALL_H_
 #define SRC_CORE_POLL_SYSCALL_H_
@@ -35,8 +36,8 @@ class PollSyscall {
       : kernel_(kernel), proc_(proc), options_(options) {}
 
   // poll(2): fills revents for each entry; returns the number of entries
-  // with non-zero revents (POLLNVAL counts, as in Linux), or 0 on timeout.
-  // timeout_ms < 0 waits forever.
+  // with non-zero revents (POLLNVAL counts, as in Linux), 0 on timeout, or
+  // kErrIntr when a signal interrupts the sleep. timeout_ms < 0 waits forever.
   [[nodiscard]] int Poll(std::span<PollFd> fds, int timeout_ms);
 
  private:

@@ -18,22 +18,13 @@ int RtIo::ArmAsync(int fd, int signo) {
 }
 
 bool RtIo::WaitForSignal(int timeout_ms) {
-  const SimTime deadline =
-      timeout_ms < 0 ? kSimTimeNever : kernel_->now() + Millis(timeout_ms);
-  while (!proc_->HasPendingSignals()) {
-    if (kernel_->stopped() || kernel_->now() >= deadline) {
-      return false;
-    }
-    // sciolint: allow(E1) -- loop re-checks HasPendingSignals and the deadline
-    (void)kernel_->BlockProcess(*proc_, deadline);
-    if (FaultPlane* fault = kernel_->fault();
-        fault != nullptr && fault->InjectEintr()) {
-      // A non-queued signal interrupted the wait: surfaces to the caller as
-      // an empty wait result, which every signal loop already retries.
-      return false;
-    }
-  }
-  return true;
+  // The queued signal wakes the process itself, so the sleep registers no
+  // waiter. An EINTR (a non-queued signal) surfaces to the caller as an
+  // empty wait result, which every signal loop already retries.
+  auto none = [] {};
+  return kernel_->WaitFor(
+             *proc_, timeout_ms, [this] { return proc_->HasPendingSignals() ? 1 : 0; },
+             none, none) > 0;
 }
 
 std::optional<SigInfo> RtIo::SigWaitInfo(int timeout_ms) {

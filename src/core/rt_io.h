@@ -42,6 +42,8 @@ class RtIo {
   [[nodiscard]] size_t FlushRtSignals();
 
  private:
+  // SimKernel::WaitFor until a signal is pending; false on timeout, stop or
+  // EINTR.
   bool WaitForSignal(int timeout_ms);
 
   SimKernel* kernel_;

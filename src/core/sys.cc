@@ -116,18 +116,23 @@ int Sys::Close(int fd) {
 
 int Sys::Poll(std::span<PollFd> fds, int timeout_ms) { return poll_.Poll(fds, timeout_ms); }
 
-int Sys::OpenDevPoll(DevPollOptions options) {
-  SyscallTraceScope trace(kernel_, "open_devpoll");
+// open() of an event device: one trap, then an injected EMFILE or the fd.
+template <typename Device, typename... Args>
+int Sys::OpenDevice(const char* trace_name, Args... args) {
+  SyscallTraceScope trace(kernel_, trace_name);
   ++kernel_->stats().syscalls;
   kernel_->Charge(kernel_->cost().syscall_entry, ChargeCat::kSyscallEntry);
   if (FaultPlane* fault = kernel_->fault(); fault != nullptr && fault->InjectOpenEmfile()) {
     trace.set_result(kErrMFile);
     return kErrMFile;
   }
-  auto device = std::make_shared<DevPollDevice>(kernel_, proc_, options);
-  const int fd = proc_->fds().Allocate(std::move(device));
+  const int fd = proc_->fds().Allocate(std::make_shared<Device>(kernel_, proc_, args...));
   trace.set_result(fd);
   return fd;
+}
+
+int Sys::OpenDevPoll(DevPollOptions options) {
+  return OpenDevice<DevPollDevice>("open_devpoll", options);
 }
 
 std::shared_ptr<DevPollDevice> Sys::devpoll(int dpfd) {
@@ -164,19 +169,7 @@ int Sys::DevPollWritePoll(int dpfd, std::span<const PollFd> updates, DvPoll* arg
   return device == nullptr ? -1 : device->IoctlDpWritePoll(updates, args);
 }
 
-int Sys::OpenEpoll() {
-  SyscallTraceScope trace(kernel_, "epoll_create");
-  ++kernel_->stats().syscalls;
-  kernel_->Charge(kernel_->cost().syscall_entry, ChargeCat::kSyscallEntry);
-  if (FaultPlane* fault = kernel_->fault(); fault != nullptr && fault->InjectOpenEmfile()) {
-    trace.set_result(kErrMFile);
-    return kErrMFile;
-  }
-  auto device = std::make_shared<EpollDevice>(kernel_, proc_);
-  const int fd = proc_->fds().Allocate(std::move(device));
-  trace.set_result(fd);
-  return fd;
-}
+int Sys::OpenEpoll() { return OpenDevice<EpollDevice>("epoll_create"); }
 
 std::shared_ptr<EpollDevice> Sys::epoll_dev(int epfd) {
   return std::dynamic_pointer_cast<EpollDevice>(proc_->fds().Get(epfd));
@@ -192,19 +185,7 @@ int Sys::EpollWait(int epfd, PollFd* out, int max, int timeout_ms) {
   return device == nullptr ? -1 : device->Wait(out, max, timeout_ms);
 }
 
-int Sys::OpenKqueue() {
-  SyscallTraceScope trace(kernel_, "kqueue");
-  ++kernel_->stats().syscalls;
-  kernel_->Charge(kernel_->cost().syscall_entry, ChargeCat::kSyscallEntry);
-  if (FaultPlane* fault = kernel_->fault(); fault != nullptr && fault->InjectOpenEmfile()) {
-    trace.set_result(kErrMFile);
-    return kErrMFile;
-  }
-  auto device = std::make_shared<KqueueDevice>(kernel_, proc_);
-  const int fd = proc_->fds().Allocate(std::move(device));
-  trace.set_result(fd);
-  return fd;
-}
+int Sys::OpenKqueue() { return OpenDevice<KqueueDevice>("kqueue"); }
 
 std::shared_ptr<KqueueDevice> Sys::kqueue_dev(int kqfd) {
   return std::dynamic_pointer_cast<KqueueDevice>(proc_->fds().Get(kqfd));

@@ -109,6 +109,9 @@ class Sys {
   std::shared_ptr<SimSocket> socket(int fd);
 
  private:
+  template <typename Device, typename... Args>
+  int OpenDevice(const char* trace_name, Args... args);
+
   SimKernel* kernel_;
   Process* proc_;
   NetStack* net_;

@@ -34,7 +34,8 @@
 //
 // BlockProcess() implements blocking syscalls: it runs simulation events
 // until the process is woken (by a wait-queue wakeup or a signal) or a
-// deadline passes.
+// deadline passes. WaitFor() is the one protocol around it that the five
+// blocking waits share (see there), and in src/ its only caller.
 
 #ifndef SRC_KERNEL_SIM_KERNEL_H_
 #define SRC_KERNEL_SIM_KERNEL_H_
@@ -48,6 +49,7 @@
 #include "src/kernel/cost_model.h"
 #include "src/kernel/kernel_stats.h"
 #include "src/kernel/process.h"
+#include "src/kernel/sys_errno.h"
 #include "src/sim/simulator.h"
 #include "src/trace/flight_recorder.h"
 #include "src/trace/mem_ledger.h"
@@ -151,6 +153,44 @@ class SimKernel {
   // Block `proc` until Wake() or `deadline`. Returns true if woken, false on
   // timeout or simulation stop. The process's wake flag is cleared on return.
   [[nodiscard]] bool BlockProcess(Process& proc, SimTime deadline);
+
+  // True when a wait whose scan found `ready` events returns without
+  // sleeping: events, a zero timeout, or a stop.
+  bool ScanEndsWait(int ready, int timeout_ms) const {
+    return ready > 0 || timeout_ms == 0 || stopped_;
+  }
+
+  // The blocking-wait protocol of poll(), DP_POLL, epoll_wait, kevent and
+  // sigwaitinfo; each brings only its own scan and waiter registration.
+  // Called after the syscall's argument checks, where the deadline starts
+  // (timeout_ms < 0 waits forever). Each pass runs scan(), the ready count,
+  // and returns it when ScanEndsWait(); at the deadline it returns 0.
+  // Otherwise arm() registers the waiters a status change wakes, the process
+  // sleeps until a wake or the deadline, disarm() unregisters them, and an
+  // injected EINTR (drawn only after a sleep) returns kErrIntr; else it scans
+  // again. A wake that lands while arm() or disarm() charges stays set, so
+  // the next sleep returns at once.
+  // sciolint: hotpath
+  template <typename Scan, typename Arm, typename Disarm>
+  int WaitFor(Process& proc, int timeout_ms, Scan&& scan, Arm&& arm, Disarm&& disarm) {
+    const SimTime deadline = timeout_ms < 0 ? kSimTimeNever : now() + Millis(timeout_ms);
+    while (true) {
+      const int ready = scan();
+      if (ScanEndsWait(ready, timeout_ms)) {
+        return ready;
+      }
+      if (now() >= deadline) {
+        return 0;
+      }
+      arm();
+      // sciolint: allow(E1) -- woken-vs-timeout is re-derived from the rescan
+      (void)BlockProcess(proc, deadline);
+      disarm();
+      if (fault_ != nullptr && fault_->InjectEintr()) {
+        return kErrIntr;
+      }
+    }
+  }
 
   // Queue an RT signal on `proc`, charging interrupt-side costs and updating
   // overflow statistics.

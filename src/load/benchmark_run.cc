@@ -12,6 +12,11 @@
 
 namespace scio {
 
+// Port-band width of the ingress chain's per-band SYN counters. Band 0 is
+// the real ephemeral range the defense protects, and a default SYN-flood
+// campaign's spoofed range is exactly one band.
+constexpr int kFilterBandWidth = 1 << 16;
+
 std::string ServerKindName(ServerKind kind) {
   switch (kind) {
     case ServerKind::kThttpdPoll:
@@ -48,21 +53,17 @@ std::unique_ptr<HttpServerBase> MakeServer(const BenchmarkRunConfig& config, Sys
         opts.exclusive_wait = true;
         sys->poll_syscall() = PollSyscall(&sys->kernel(), &sys->proc(), opts);
       }
-      return std::make_unique<Phhttpd>(sys, content, config.server_config,
-                                       config.phhttpd_config);
+      return std::make_unique<Phhttpd>(sys, content, config.server_config);
     case ServerKind::kHybrid:
       return std::make_unique<HybridServer>(sys, content, config.server_config, devpoll,
                                             config.hybrid_config);
     case ServerKind::kThttpdEpoll:
-    case ServerKind::kThttpdEpollEt: {
-      ThttpdEpollConfig epoll = config.epoll_config;
-      epoll.edge_triggered =
-          config.server == ServerKind::kThttpdEpollEt || epoll.edge_triggered;
-      return std::make_unique<ThttpdEpoll>(sys, content, config.server_config, epoll);
-    }
+    case ServerKind::kThttpdEpollEt:
+      return std::make_unique<ThttpdEpoll>(
+          sys, content, config.server_config,
+          ThttpdEpollConfig{config.server == ServerKind::kThttpdEpollEt});
     case ServerKind::kPhhttpdKqueue:
-      return std::make_unique<PhhttpdKqueue>(sys, content, config.server_config,
-                                             config.kqueue_config);
+      return std::make_unique<PhhttpdKqueue>(sys, content, config.server_config);
   }
   return nullptr;
 }
@@ -146,7 +147,7 @@ BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
                          config.adaptive_defense;
   std::unique_ptr<IngressFilterChain> chain;
   if (filter_on) {
-    chain = std::make_unique<IngressFilterChain>(&kernel, config.filter_band_width);
+    chain = std::make_unique<IngressFilterChain>(&kernel, kFilterBandWidth);
     net.set_filter(chain.get());
     for (const FilterRule& rule : config.static_rules) {
       chain->Append(rule);

@@ -79,7 +79,6 @@ struct BenchmarkRunConfig {
   std::vector<FilterRule> static_rules;
   bool adaptive_defense = false;
   DefenseConfig defense;
-  int filter_band_width = 1 << 16;
   // Descriptor budget of each server process: tables are per process, so a
   // saturated worker cannot throttle a sibling.
   int server_max_fds = 8192;
@@ -104,10 +103,7 @@ struct BenchmarkRunConfig {
   ServerConfig server_config;
   ThttpdDevPollConfig devpoll_config;
   PollSyscallOptions poll_options;
-  PhhttpdConfig phhttpd_config;
   HybridServerConfig hybrid_config;
-  ThttpdEpollConfig epoll_config;   // edge_triggered forced on for kThttpdEpollEt
-  PhhttpdKqueueConfig kqueue_config;
   size_t rt_queue_max = kDefaultRtQueueMax;
 
   // Optional flight recorder (borrowed; must outlive the run). When set it

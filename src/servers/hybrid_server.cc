@@ -1,7 +1,5 @@
 #include "src/servers/hybrid_server.h"
 
-#include <algorithm>
-
 namespace scio {
 
 HybridServer::HybridServer(Sys* sys, const StaticContent* content, ServerConfig config,
@@ -14,13 +12,13 @@ HybridServer::HybridServer(Sys* sys, const StaticContent* content, ServerConfig 
 void HybridServer::SetupHybrid() {
   policy_.emplace(hybrid_config_.policy, sys().proc().rt_queue_max());
   // sciolint: allow(E1) -- Setup() has already validated listener_fd_
-  (void)sys().ArmAsync(listener_fd_, hybrid_config_.rt_signo);
+  (void)sys().ArmAsync(listener_fd_, kRtSigno);
 }
 
 void HybridServer::OnConnOpened(int fd) {
   ThttpdDevPoll::OnConnOpened(fd);  // maintain the interest set concurrently
   // sciolint: allow(E1) -- fd was accepted this iteration; arming cannot fail
-  (void)sys().ArmAsync(fd, hybrid_config_.rt_signo);
+  (void)sys().ArmAsync(fd, kRtSigno);
   // Same post-arm probe as phhttpd: data that raced ahead of the fcntl()
   // raised no signal (in polling mode the level-triggered scan would catch
   // it, but signal mode would starve the connection).
@@ -42,10 +40,7 @@ void HybridServer::UpdatePolicy(bool overflowed) {
 }
 
 void HybridServer::RunSignalIteration(SimTime until) {
-  const SimTime wake_at = std::min(until, next_sweep_);
-  const auto timeout_ms =
-      static_cast<int>((wake_at - kernel().now() + Millis(1) - 1) / Millis(1));
-  const int n = sys().SigTimedWait4(signal_batch_, timeout_ms < 0 ? 0 : timeout_ms);
+  const int n = sys().SigTimedWait4(signal_batch_, WaitTimeoutMs(until));
   bool overflowed = false;
   for (int i = 0; i < n; ++i) {
     const SigInfo& si = signal_batch_[static_cast<size_t>(i)];
@@ -72,27 +67,23 @@ void HybridServer::RunSignalIteration(SimTime until) {
   UpdatePolicy(/*overflowed=*/false);
 }
 
-void HybridServer::Run(SimTime until) {
-  while (kernel().now() < until && !kernel().stopped()) {
-    ++stats_.loop_iterations;
-    MaybeSweep();
-    FlushUpdates();  // interest set stays current in both modes
-
-    if (policy_->mode() == EventMode::kSignals) {
-      RunSignalIteration(until);
-      continue;
-    }
-    // Polling mode: signals still accrue (connections stay armed) — discard
-    // them cheaply and let the level-triggered scan find the work. Their
-    // queue length still drives the switch-back decision.
-    kernel().Charge(kernel().cost().server_loop_overhead, ChargeCat::kServerLoop);
-    UpdatePolicy(/*overflowed=*/sys().proc().sigio_pending());
-    if (sys().proc().rt_queue_length() > 0 || sys().proc().sigio_pending()) {
-      // sciolint: allow(E1) -- discarding is the point; the scan finds the work
-      (void)sys().FlushRtSignals();
-    }
-    PollAndDispatch(until);
+void HybridServer::Step(SimTime until) {
+  MaybeSweep();
+  FlushUpdates();  // interest set stays current in both modes
+  if (policy_->mode() == EventMode::kSignals) {
+    RunSignalIteration(until);
+    return;
   }
+  // Polling mode: signals still accrue (connections stay armed) — discard
+  // them cheaply and let the level-triggered scan find the work. Their
+  // queue length still drives the switch-back decision.
+  ChargeLoop();
+  UpdatePolicy(/*overflowed=*/sys().proc().sigio_pending());
+  if (sys().proc().rt_queue_length() > 0 || sys().proc().sigio_pending()) {
+    // sciolint: allow(E1) -- discarding is the point; the scan finds the work
+    (void)sys().FlushRtSignals();
+  }
+  PollAndDispatch(until);
 }
 
 }  // namespace scio

@@ -25,7 +25,6 @@
 namespace scio {
 
 struct HybridServerConfig {
-  int rt_signo = kSigRtMin + 1;
   int signal_batch = 32;  // sigtimedwait4 batch size
   HybridPolicyConfig policy;
 };
@@ -48,12 +47,13 @@ class HybridServer : public ThttpdDevPoll {
     return 0;
   }
 
-  void Run(SimTime until) override;
-
   EventMode mode() const { return policy_ ? policy_->mode() : EventMode::kSignals; }
   const HybridPolicy* policy() const { return policy_ ? &*policy_ : nullptr; }
 
  protected:
+  // The sweep and the interest-set flush, then one sigtimedwait4() batch in
+  // signal mode or one DP_POLL pass in polling mode.
+  void Step(SimTime until) override;
   void OnConnOpened(int fd) override;
 
  private:

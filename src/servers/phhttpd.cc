@@ -1,7 +1,5 @@
 #include "src/servers/phhttpd.h"
 
-#include <algorithm>
-
 namespace scio {
 
 Phhttpd::Phhttpd(Sys* sys, const StaticContent* content, ServerConfig config,
@@ -12,7 +10,7 @@ Phhttpd::Phhttpd(Sys* sys, const StaticContent* content, ServerConfig config,
 
 void Phhttpd::SetupSignals() {
   // sciolint: allow(E1) -- Setup() has already validated listener_fd_
-  (void)sys().ArmAsync(listener_fd_, ph_config_.rt_signo);
+  (void)sys().ArmAsync(listener_fd_, kRtSigno);
 }
 
 void Phhttpd::OnConnOpened(int fd) {
@@ -23,7 +21,7 @@ void Phhttpd::OnConnOpened(int fd) {
   kernel().Charge(kernel().cost().syscall_entry + kernel().cost().fcntl_extra,
                   ChargeCat::kSyscallEntry);
   // sciolint: allow(E1) -- fd was accepted this iteration; arming cannot fail
-  (void)sys().ArmAsync(fd, ph_config_.rt_signo);
+  (void)sys().ArmAsync(fd, kRtSigno);
   // Classic edge-notification race: bytes that arrived between the SYN and
   // the fcntl() raised no signal (nothing was armed yet), so a signal-driven
   // server must probe the socket once right after arming or those
@@ -33,7 +31,7 @@ void Phhttpd::OnConnOpened(int fd) {
 
 bool Phhttpd::HandleSignal(const SigInfo& si) {
   if (si.signo == kSigIo) {
-    return true;  // queue overflow; Run() drives the recovery
+    return true;  // queue overflow; Step() drives the recovery
   }
   if (si.fd == listener_fd_) {
     DrainAccepts();
@@ -65,86 +63,40 @@ void Phhttpd::EnterPollFallback() {
   // negating any benefit of maintaining interest set state" (§6); from here
   // on every loop iteration pays the rebuild. The sockets stay armed for RT
   // signals (nothing disarms them), so the queue keeps refilling and must be
-  // re-flushed every iteration — see Run().
+  // re-flushed every iteration — see Step().
 }
 
-void Phhttpd::RunPollIteration(SimTime until, int timeout_override_ms) {
-  // clear() keeps the allocation, so after the connection count peaks the
-  // per-iteration rebuild performs no heap traffic.
-  pollfds_.clear();
-  pollfds_.reserve(conns_.size() + 1);
-  pollfds_.push_back(PollFd{listener_fd_, kPollIn, 0});
-  conns_.ForEach([this](int fd, const Conn& conn) {
-    pollfds_.push_back(PollFd{fd, conn.phase == Phase::kWriting ? kPollOut : kPollIn, 0});
-  });
-  kernel().Charge(kernel().cost().poll_userspace_rebuild_per_fd *
-                      static_cast<SimDuration>(pollfds_.size()),
-                  ChargeCat::kPollfdRebuild);
-  int timeout_ms = timeout_override_ms;
-  if (timeout_ms < 0) {
-    const SimTime wake_at = std::min(until, next_sweep_);
-    timeout_ms = static_cast<int>((wake_at - kernel().now() + Millis(1) - 1) / Millis(1));
-    if (timeout_ms < 0) {
-      timeout_ms = 0;
+void Phhttpd::Step(SimTime until) {
+  MaybeSweep();
+  if (poll_fallback_) {
+    ChargeLoop();
+    // Every socket is still armed, so queued (and overflowing) signals keep
+    // accumulating; drain them or SIGIO fires forever.
+    if (sys().proc().HasPendingSignals()) {
+      // sciolint: allow(E1) -- discarding is the point; poll() finds the work
+      (void)sys().FlushRtSignals();
     }
-  }
-  const int ready = sys().Poll(pollfds_, timeout_ms);
-  if (ready == kErrIntr) {
-    ++stats_.eintr_returns;  // next loop pass rebuilds and retries
+    PollPass(until);
     return;
   }
-  if (ready <= 0) {
+
+  std::optional<SigInfo> si = sys().SigWaitInfo(WaitTimeoutMs(until));
+  if (!si.has_value() || !HandleSignal(*si)) {
     return;
   }
-  for (const PollFd& pfd : pollfds_) {
-    if (pfd.revents != 0) {
-      DispatchEvent(pfd.fd, pfd.revents);
-    }
+  // SIGIO: the RT queue overflowed and events were lost (§2).
+  ++stats_.overflow_recoveries;
+  if (ph_config_.recovery == OverflowRecovery::kHandoffToPollSibling) {
+    EnterPollFallback();
+    return;
   }
-}
-
-void Phhttpd::Run(SimTime until) {
-  while (kernel().now() < until && !kernel().stopped()) {
-    ++stats_.loop_iterations;
-    MaybeSweep();
-
-    if (poll_fallback_) {
-      kernel().Charge(kernel().cost().server_loop_overhead, ChargeCat::kServerLoop);
-      // Every socket is still armed, so queued (and overflowing) signals
-      // keep accumulating; drain them or SIGIO fires forever.
-      if (sys().proc().HasPendingSignals()) {
-        // sciolint: allow(E1) -- discarding is the point; poll() finds the work
-        (void)sys().FlushRtSignals();
-      }
-      RunPollIteration(until);
-      continue;
-    }
-
-    const SimTime wake_at = std::min(until, next_sweep_);
-    const auto timeout_ms =
-        static_cast<int>((wake_at - kernel().now() + Millis(1) - 1) / Millis(1));
-    std::optional<SigInfo> si = sys().SigWaitInfo(timeout_ms < 0 ? 0 : timeout_ms);
-    if (!si.has_value()) {
-      continue;
-    }
-    if (!HandleSignal(*si)) {
-      continue;
-    }
-
-    // SIGIO: the RT queue overflowed and events were lost (§2).
-    ++stats_.overflow_recoveries;
-    if (ph_config_.recovery == OverflowRecovery::kHandoffToPollSibling) {
-      EnterPollFallback();
-      continue;
-    }
-    // Single-threaded recovery: reset handlers to SIG_DFL (flushing the
-    // queue), then one full poll() pass to discover everything the flush
-    // discarded, then back to sigwaitinfo(). Under sustained overload this
-    // whole cycle repeats.
-    // sciolint: allow(E1) -- the flushed-signal count is irrelevant by design
-    (void)sys().FlushRtSignals();
-    RunPollIteration(until, /*timeout_override_ms=*/0);
-  }
+  // Single-threaded recovery: reset handlers to SIG_DFL (flushing the
+  // queue), then one full, non-blocking poll() pass to discover everything
+  // the flush discarded, then back to sigwaitinfo(). Under sustained
+  // overload this whole cycle repeats.
+  // sciolint: allow(E1) -- the flushed-signal count is irrelevant by design
+  (void)sys().FlushRtSignals();
+  PollPass(until, /*timeout_ms=*/0);
 }
 
 }  // namespace scio

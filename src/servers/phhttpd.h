@@ -16,8 +16,6 @@
 #ifndef SRC_SERVERS_PHHTTPD_H_
 #define SRC_SERVERS_PHHTTPD_H_
 
-#include <vector>
-
 #include "src/servers/server_base.h"
 
 namespace scio {
@@ -37,7 +35,6 @@ enum class OverflowRecovery {
 };
 
 struct PhhttpdConfig {
-  int rt_signo = kSigRtMin + 1;  // avoid signal 32, which LinuxThreads owns (§6)
   OverflowRecovery recovery = OverflowRecovery::kFlushPollResume;
 };
 
@@ -54,24 +51,21 @@ class Phhttpd : public HttpServerBase {
     return 0;
   }
 
-  void Run(SimTime until) override;
-
   bool in_poll_fallback() const { return poll_fallback_; }
 
  protected:
+  // The sweep, then one sigwaitinfo() and its signal (with the overflow
+  // recovery on SIGIO), or in the poll fallback one PollPass().
+  void Step(SimTime until) override;
   void OnConnOpened(int fd) override;
 
  private:
   // Returns true if the signal was SIGIO (queue overflow).
   bool HandleSignal(const SigInfo& si);
   void EnterPollFallback();
-  // One rebuild + poll() + dispatch pass. timeout_override_ms >= 0 forces a
-  // non-blocking/short poll (recovery pass); -1 sleeps until work or sweep.
-  void RunPollIteration(SimTime until, int timeout_override_ms = -1);
 
   PhhttpdConfig ph_config_;
   bool poll_fallback_ = false;
-  std::vector<PollFd> pollfds_;
 };
 
 }  // namespace scio

@@ -15,7 +15,7 @@ int PhhttpdKqueue::SetupKqueue() {
   if (kqfd_ < 0) {
     return kqfd_;
   }
-  events_.resize(static_cast<size_t>(kq_config_.event_slots));
+  events_.resize(static_cast<size_t>(kEventSlots));
   armed_.assign(static_cast<size_t>(sys().proc().fds().max_fds()), 0);
   // The listener's knote is level-triggered: while the backlog is non-empty
   // every kevent re-reports it, so a truncated DrainAccepts can never strand
@@ -67,20 +67,16 @@ void PhhttpdKqueue::OnConnClosing(int fd) {
   }
 }
 
-int PhhttpdKqueue::KeventAndDispatch(SimTime until) {
-  const SimTime wake_at = std::min(until, next_sweep_);
-  auto timeout_ms =
-      static_cast<int>((wake_at - kernel().now() + Millis(1) - 1) / Millis(1));
-  if (timeout_ms < 0) {
-    timeout_ms = 0;
-  }
+void PhhttpdKqueue::Step(SimTime until) {
+  ChargeLoop();
+  MaybeSweep();
   // The fused call: changelist + harvest in ONE trap. On ENOMEM the batch
   // stays queued (idempotent entries, retried verbatim next pass) and the
   // stale-but-valid knote set keeps serving.
-  const int ready = sys().Kevent(kqfd_, pending_changes_, events_, timeout_ms);
+  const int ready = sys().Kevent(kqfd_, pending_changes_, events_, WaitTimeoutMs(until));
   if (ready == kErrNoMem) {
     ++stats_.devpoll_write_retries;
-    return 0;
+    return;
   }
   // Anything else (events, timeout, EINTR) means the changelist was applied.
   for (const KEvent& change : pending_changes_) {
@@ -91,10 +87,6 @@ int PhhttpdKqueue::KeventAndDispatch(SimTime until) {
   pending_changes_.clear();
   if (ready == kErrIntr) {
     ++stats_.eintr_returns;
-    return 0;
-  }
-  if (ready <= 0) {
-    return 0;
   }
   for (int i = 0; i < ready; ++i) {
     const KEvent& ev = events_[static_cast<size_t>(i)];
@@ -103,16 +95,6 @@ int PhhttpdKqueue::KeventAndDispatch(SimTime until) {
       revents |= kPollHup;
     }
     DispatchEvent(ev.ident, revents);
-  }
-  return ready;
-}
-
-void PhhttpdKqueue::Run(SimTime until) {
-  while (kernel().now() < until && !kernel().stopped()) {
-    ++stats_.loop_iterations;
-    kernel().Charge(kernel().cost().server_loop_overhead, ChargeCat::kServerLoop);
-    MaybeSweep();
-    KeventAndDispatch(until);
   }
 }
 

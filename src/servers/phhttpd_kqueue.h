@@ -28,7 +28,6 @@ namespace scio {
 
 struct PhhttpdKqueueConfig {
   bool ev_clear = true;   // EV_CLEAR on connection knotes (edge-like)
-  int event_slots = 4096; // kevent eventlist size
 };
 
 class PhhttpdKqueue : public HttpServerBase {
@@ -41,21 +40,19 @@ class PhhttpdKqueue : public HttpServerBase {
 
   int SetupEvents() override { return SetupKqueue() < 0 ? -1 : 0; }
 
-  void Run(SimTime until) override;
-
   int kqueue_fd() const { return kqfd_; }
 
  protected:
+  // One fused kevent (changelist + harvest) and the dispatch of its events.
+  // ENOMEM keeps the batch queued; every entry the server emits is
+  // idempotent (EV_ADD modifies in place, EV_ENABLE/EV_DISABLE are flag
+  // writes), so the verbatim retry is safe.
+  void Step(SimTime until) override;
   void OnConnOpened(int fd) override;
   void OnConnPhaseChanged(int fd, Phase phase) override;
   void OnConnClosing(int fd) override;
 
   void QueueChange(int fd, int16_t filter, uint16_t flags);
-  // One fused kevent (changelist + harvest) + dispatch pass. ENOMEM keeps
-  // the batch queued; every entry the server emits is idempotent (EV_ADD
-  // modifies in place, EV_ENABLE/EV_DISABLE are flag writes), so the
-  // verbatim retry is safe.
-  int KeventAndDispatch(SimTime until);
 
   uint16_t clear_flag() const { return kq_config_.ev_clear ? kEvClear : uint16_t{0}; }
 

@@ -1,5 +1,6 @@
 #include "src/servers/server_base.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "src/http/http_message.h"
@@ -34,6 +35,48 @@ HttpServerBase::HttpServerBase(Sys* sys, const StaticContent* content, ServerCon
     : sys_(sys), content_(content), config_(config) {
   conns_.set_limit(static_cast<size_t>(sys_->proc().fds().max_fds()));
   conns_.set_mem_ledger(&sys_->kernel().mem());
+}
+
+void HttpServerBase::Run(SimTime until) {
+  while (kernel().now() < until && !kernel().stopped()) {
+    ++stats_.loop_iterations;
+    Step(until);
+  }
+}
+
+void HttpServerBase::ChargeLoop() {
+  kernel().Charge(kernel().cost().server_loop_overhead, ChargeCat::kServerLoop);
+}
+
+int HttpServerBase::WaitTimeoutMs(SimTime until) {
+  const SimTime wake_at = std::min(until, next_sweep_);
+  const auto timeout_ms =
+      static_cast<int>((wake_at - kernel().now() + Millis(1) - 1) / Millis(1));
+  return timeout_ms < 0 ? 0 : timeout_ms;
+}
+
+void HttpServerBase::PollPass(SimTime until, int timeout_ms) {
+  pollfds_.clear();
+  pollfds_.reserve(conns_.size() + 1);
+  pollfds_.push_back(PollFd{listener_fd_, kPollIn, 0});
+  conns_.ForEach([this](int fd, const Conn& conn) {
+    pollfds_.push_back(PollFd{fd, conn.phase == Phase::kWriting ? kPollOut : kPollIn, 0});
+  });
+  kernel().Charge(kernel().cost().poll_userspace_rebuild_per_fd *
+                      static_cast<SimDuration>(pollfds_.size()),
+                  ChargeCat::kPollfdRebuild);
+  const int ready = sys_->Poll(pollfds_, timeout_ms < 0 ? WaitTimeoutMs(until) : timeout_ms);
+  if (ready == kErrIntr) {
+    ++stats_.eintr_returns;  // interrupted; the next pass rebuilds and retries
+  }
+  if (ready <= 0) {
+    return;
+  }
+  for (const PollFd& pfd : pollfds_) {
+    if (pfd.revents != 0) {
+      DispatchEvent(pfd.fd, pfd.revents);
+    }
+  }
 }
 
 int HttpServerBase::Setup() {

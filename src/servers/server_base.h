@@ -3,7 +3,9 @@
 // All three of the paper's servers (§5) serve static content over HTTP/1.0
 // with the same per-connection state machine — accept, read+parse request,
 // write response, close — and a periodic idle-connection timeout sweep. They
-// differ only in how they learn about events, which each subclass provides.
+// differ only in how they learn about events, which each subclass provides
+// as Step(): one loop iteration, through its blocking wait to the dispatch of
+// what the wait returned. Run() is the one event loop.
 
 #ifndef SRC_SERVERS_SERVER_BASE_H_
 #define SRC_SERVERS_SERVER_BASE_H_
@@ -86,8 +88,9 @@ class HttpServerBase {
   // or a negative errno-style code.
   virtual int SetupEvents() { return 0; }
 
-  // Run the event loop until simulated time `until` (or kernel stop).
-  virtual void Run(SimTime until) = 0;
+  // Run the event loop until simulated time `until` (or kernel stop): one
+  // counted Step() per iteration.
+  void Run(SimTime until);
 
   int listener_fd() const { return listener_fd_; }
   const ServerStats& stats() const { return stats_; }
@@ -106,6 +109,29 @@ class HttpServerBase {
   // the aliases keep subclass code reading as before.
   using Phase = ConnPhase;
   using Conn = scio::Conn;
+
+  // Result and event buffer size of the /dev/poll, epoll and kqueue servers
+  // (DP_ALLOC slots, epoll_wait maxevents, the kevent eventlist).
+  static constexpr int kEventSlots = 4096;
+  // The RT signal phhttpd and the hybrid server arm their sockets with:
+  // avoid signal 32, which LinuxThreads owns (§6).
+  static constexpr int kRtSigno = kSigRtMin + 1;
+
+  // One loop iteration. Each server keeps its own order of the loop charge,
+  // the timer sweep and its blocking wait (an RT queue overflow adds a poll
+  // pass), and reads the wait's timeout from WaitTimeoutMs().
+  virtual void Step(SimTime until) = 0;
+  // Charge one loop iteration's fixed overhead.
+  void ChargeLoop();
+  // The next wait's timeout: up to `until` or the next sweep, whichever is
+  // first, rounded up to whole milliseconds and never negative.
+  int WaitTimeoutMs(SimTime until);
+  // One poll() pass, thttpd's and phhttpd's fallback's: rebuild the pollfd
+  // array from the connection table (charged; §6: legacy servers "entirely
+  // rebuild their pollfd array"), poll, and dispatch every reported entry.
+  // timeout_ms >= 0 overrides WaitTimeoutMs(), which is read after the
+  // rebuild charge.
+  void PollPass(SimTime until, int timeout_ms = -1);
 
   // --- hooks for the event-acquisition subclasses -----------------------------
   virtual void OnConnOpened(int fd) { (void)fd; }
@@ -165,6 +191,10 @@ class HttpServerBase {
   bool accept_stalled_ = false;
 
  private:
+  // PollPass()'s array; clear() keeps its allocation, so after the
+  // connection count peaks a rebuild performs no heap traffic.
+  std::vector<PollFd> pollfds_;
+
   // Build and start sending the response for a completed request.
   void StartResponse(int fd, Conn& conn);
   // Close connections idle longer than `timeout`; `pressure` attributes the

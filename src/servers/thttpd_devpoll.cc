@@ -1,7 +1,5 @@
 #include "src/servers/thttpd_devpoll.h"
 
-#include <algorithm>
-
 namespace scio {
 
 ThttpdDevPoll::ThttpdDevPoll(Sys* sys, const StaticContent* content, ServerConfig config,
@@ -16,7 +14,7 @@ int ThttpdDevPoll::SetupDevPoll() {
     return dpfd_;
   }
   if (dp_config_.use_mmap_results) {
-    if (sys().DevPollAlloc(dpfd_, dp_config_.result_slots) != 0) {
+    if (sys().DevPollAlloc(dpfd_, kEventSlots) != 0) {
       return -1;
     }
     result_area_ = sys().DevPollMmap(dpfd_);
@@ -24,7 +22,7 @@ int ThttpdDevPoll::SetupDevPoll() {
       return -1;
     }
   } else {
-    result_buffer_.resize(static_cast<size_t>(dp_config_.result_slots));
+    result_buffer_.resize(static_cast<size_t>(kEventSlots));
   }
   QueueUpdate(listener_fd_, kPollIn);
   return dpfd_;
@@ -82,14 +80,11 @@ void ThttpdDevPoll::OnConnClosing(int fd) {
   FlushUpdates();
 }
 
-int ThttpdDevPoll::PollAndDispatch(SimTime until) {
-  const SimTime wake_at = std::min(until, next_sweep_);
-  const auto timeout_ms =
-      static_cast<int>((wake_at - kernel().now() + Millis(1) - 1) / Millis(1));
+void ThttpdDevPoll::PollAndDispatch(SimTime until) {
   DvPoll args;
   args.dp_fds = dp_config_.use_mmap_results ? nullptr : result_buffer_.data();
-  args.dp_nfds = dp_config_.result_slots;
-  args.dp_timeout = timeout_ms < 0 ? 0 : timeout_ms;
+  args.dp_nfds = kEventSlots;
+  args.dp_timeout = WaitTimeoutMs(until);
 
   int ready;
   if (dp_config_.use_fused_ioctl && !pending_updates_.empty()) {
@@ -98,7 +93,7 @@ int ThttpdDevPoll::PollAndDispatch(SimTime until) {
       // The write half failed before anything was applied: keep the batch
       // for the next pass (no poll happened either).
       ++stats_.devpoll_write_retries;
-      return 0;
+      return;
     }
     pending_updates_.clear();
   } else {
@@ -107,25 +102,17 @@ int ThttpdDevPoll::PollAndDispatch(SimTime until) {
   }
   if (ready == kErrIntr) {
     ++stats_.eintr_returns;
-    return 0;
-  }
-  if (ready <= 0) {
-    return 0;
   }
   const PollFd* results = dp_config_.use_mmap_results ? result_area_ : result_buffer_.data();
   for (int i = 0; i < ready; ++i) {
     DispatchEvent(results[i].fd, results[i].revents);
   }
-  return ready;
 }
 
-void ThttpdDevPoll::Run(SimTime until) {
-  while (kernel().now() < until && !kernel().stopped()) {
-    ++stats_.loop_iterations;
-    kernel().Charge(kernel().cost().server_loop_overhead, ChargeCat::kServerLoop);
-    MaybeSweep();
-    PollAndDispatch(until);
-  }
+void ThttpdDevPoll::Step(SimTime until) {
+  ChargeLoop();
+  MaybeSweep();
+  PollAndDispatch(until);
 }
 
 }  // namespace scio

@@ -20,7 +20,6 @@ struct ThttpdDevPollConfig {
   DevPollOptions devpoll;
   bool use_mmap_results = true;   // ABL-2 off: DP_POLL copies results out
   bool use_fused_ioctl = false;   // ABL-5 on: single write+poll syscall
-  int result_slots = 4096;        // DP_ALLOC size
 };
 
 class ThttpdDevPoll : public HttpServerBase {
@@ -34,11 +33,10 @@ class ThttpdDevPoll : public HttpServerBase {
 
   int SetupEvents() override { return SetupDevPoll() < 0 ? -1 : 0; }
 
-  void Run(SimTime until) override;
-
   int devpoll_fd() const { return dpfd_; }
 
  protected:
+  void Step(SimTime until) override;
   void OnConnOpened(int fd) override;
   void OnConnPhaseChanged(int fd, Phase phase) override;
   void OnConnClosing(int fd) override;
@@ -47,8 +45,8 @@ class ThttpdDevPoll : public HttpServerBase {
   // Returns false when the write failed (ENOMEM); the batch stays queued and
   // is retried before the next poll.
   bool FlushUpdates();
-  // One DP_POLL + dispatch pass; returns number of events handled.
-  int PollAndDispatch(SimTime until);
+  // One DP_POLL + dispatch pass.
+  void PollAndDispatch(SimTime until);
 
   ThttpdDevPollConfig dp_config_;
   int dpfd_ = -1;

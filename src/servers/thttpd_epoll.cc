@@ -15,7 +15,7 @@ int ThttpdEpoll::SetupEpoll() {
   if (epfd_ < 0) {
     return epfd_;
   }
-  events_.resize(static_cast<size_t>(ep_config_.event_slots));
+  events_.resize(static_cast<size_t>(kEventSlots));
   CtlOrQueue(EpollOp::kAdd, listener_fd_, kPollIn);
   return epfd_;
 }
@@ -64,36 +64,17 @@ void ThttpdEpoll::OnConnClosing(int fd) {
   }
 }
 
-int ThttpdEpoll::PollAndDispatch(SimTime until) {
+void ThttpdEpoll::Step(SimTime until) {
+  ChargeLoop();
+  MaybeSweep();
   RetryPending();
-  const SimTime wake_at = std::min(until, next_sweep_);
-  auto timeout_ms =
-      static_cast<int>((wake_at - kernel().now() + Millis(1) - 1) / Millis(1));
-  if (timeout_ms < 0) {
-    timeout_ms = 0;
-  }
-  const int ready = sys().EpollWait(epfd_, events_.data(),
-                                    static_cast<int>(events_.size()), timeout_ms);
+  const int ready = sys().EpollWait(epfd_, events_.data(), static_cast<int>(events_.size()),
+                                    WaitTimeoutMs(until));
   if (ready == kErrIntr) {
     ++stats_.eintr_returns;
-    return 0;
-  }
-  if (ready <= 0) {
-    return 0;
   }
   for (int i = 0; i < ready; ++i) {
-    DispatchEvent(events_[static_cast<size_t>(i)].fd,
-                  events_[static_cast<size_t>(i)].revents);
-  }
-  return ready;
-}
-
-void ThttpdEpoll::Run(SimTime until) {
-  while (kernel().now() < until && !kernel().stopped()) {
-    ++stats_.loop_iterations;
-    kernel().Charge(kernel().cost().server_loop_overhead, ChargeCat::kServerLoop);
-    MaybeSweep();
-    PollAndDispatch(until);
+    DispatchEvent(events_[static_cast<size_t>(i)].fd, events_[static_cast<size_t>(i)].revents);
   }
 }
 

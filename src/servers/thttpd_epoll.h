@@ -22,7 +22,6 @@ namespace scio {
 
 struct ThttpdEpollConfig {
   bool edge_triggered = false;  // kEpollEdge on connection interests
-  int event_slots = 4096;       // epoll_wait output buffer size
 };
 
 class ThttpdEpoll : public HttpServerBase {
@@ -36,11 +35,10 @@ class ThttpdEpoll : public HttpServerBase {
 
   int SetupEvents() override { return SetupEpoll() < 0 ? -1 : 0; }
 
-  void Run(SimTime until) override;
-
   int epoll_fd() const { return epfd_; }
 
  protected:
+  void Step(SimTime until) override;
   void OnConnOpened(int fd) override;
   void OnConnPhaseChanged(int fd, Phase phase) override;
   void OnConnClosing(int fd) override;
@@ -50,8 +48,6 @@ class ThttpdEpoll : public HttpServerBase {
   // /dev/poll port's failed write batches).
   void CtlOrQueue(EpollOp op, int fd, PollEvents events);
   void RetryPending();
-  // One epoll_wait + dispatch pass; returns number of events handled.
-  int PollAndDispatch(SimTime until);
 
   uint16_t conn_flags() const { return ep_config_.edge_triggered ? kEpollEdge : 0; }
 

@@ -1,7 +1,5 @@
 #include "src/servers/thttpd_poll.h"
 
-#include <algorithm>
-
 namespace scio {
 
 ThttpdPoll::ThttpdPoll(Sys* sys, const StaticContent* content, ServerConfig config,
@@ -11,45 +9,10 @@ ThttpdPoll::ThttpdPoll(Sys* sys, const StaticContent* content, ServerConfig conf
   sys->poll_syscall() = PollSyscall(&sys->kernel(), &sys->proc(), poll_options);
 }
 
-void ThttpdPoll::RebuildPollSet() {
-  // clear() keeps the allocation, so after the connection count peaks the
-  // per-iteration rebuild performs no heap traffic.
-  pollfds_.clear();
-  pollfds_.reserve(conns_.size() + 1);
-  pollfds_.push_back(PollFd{listener_fd_, kPollIn, 0});
-  conns_.ForEach([this](int fd, const Conn& conn) {
-    pollfds_.push_back(
-        PollFd{fd, conn.phase == Phase::kWriting ? kPollOut : kPollIn, 0});
-  });
-  kernel().Charge(kernel().cost().poll_userspace_rebuild_per_fd *
-                      static_cast<SimDuration>(pollfds_.size()),
-                  ChargeCat::kPollfdRebuild);
-}
-
-void ThttpdPoll::Run(SimTime until) {
-  while (kernel().now() < until && !kernel().stopped()) {
-    ++stats_.loop_iterations;
-    kernel().Charge(kernel().cost().server_loop_overhead, ChargeCat::kServerLoop);
-    MaybeSweep();
-
-    RebuildPollSet();
-    const SimTime wake_at = std::min(until, next_sweep_);
-    const auto timeout_ms =
-        static_cast<int>((wake_at - kernel().now() + Millis(1) - 1) / Millis(1));
-    const int ready = sys().Poll(pollfds_, timeout_ms < 0 ? 0 : timeout_ms);
-    if (ready == kErrIntr) {
-      ++stats_.eintr_returns;  // interrupted; rebuild and retry
-      continue;
-    }
-    if (ready <= 0) {
-      continue;
-    }
-    for (const PollFd& pfd : pollfds_) {
-      if (pfd.revents != 0) {
-        DispatchEvent(pfd.fd, pfd.revents);
-      }
-    }
-  }
+void ThttpdPoll::Step(SimTime until) {
+  ChargeLoop();
+  MaybeSweep();
+  PollPass(until);
 }
 
 }  // namespace scio

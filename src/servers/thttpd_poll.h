@@ -8,8 +8,6 @@
 #ifndef SRC_SERVERS_THTTPD_POLL_H_
 #define SRC_SERVERS_THTTPD_POLL_H_
 
-#include <vector>
-
 #include "src/servers/server_base.h"
 
 namespace scio {
@@ -19,13 +17,8 @@ class ThttpdPoll : public HttpServerBase {
   ThttpdPoll(Sys* sys, const StaticContent* content, ServerConfig config = ServerConfig{},
              PollSyscallOptions poll_options = PollSyscallOptions{});
 
-  void Run(SimTime until) override;
-
- private:
-  // Rebuild the pollfd array from the connection table (charged).
-  void RebuildPollSet();
-
-  std::vector<PollFd> pollfds_;
+ protected:
+  void Step(SimTime until) override;
 };
 
 }  // namespace scio

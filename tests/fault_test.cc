@@ -1,8 +1,12 @@
 // Tests for the deterministic fault-injection plane: window gating, seeded
 // determinism, direction filtering, and the kernel/net integration points
-// (forced RT-queue shrink, /dev/poll ENOMEM, latency spikes on the wire).
+// (forced RT-queue shrink, /dev/poll ENOMEM, latency spikes on the wire,
+// EINTR in the wait protocol the five blocking waits share).
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
 
 #include "src/fault/fault_plane.h"
 #include "tests/sim_world.h"
@@ -213,6 +217,138 @@ TEST_F(FaultWorldTest, AcceptEmfileLeavesConnectionRetryable) {
   sim_.AdvanceTo(Millis(10));  // the window lifts
   EXPECT_GE(sys_.Accept(listen_fd_), 0) << "the same connection is retryable";
 }
+
+// --- one wait protocol across the five blocking interfaces -------------------------
+
+// poll(), DP_POLL, epoll_wait, kevent and sigwaitinfo all sleep through
+// SimKernel::WaitFor, so the same four cases must hold for each. Every row
+// watches the fixture's listener, which no client connects to, so nothing is
+// ever ready.
+enum class WaitIface { kPoll, kDevPoll, kEpoll, kKqueue, kSigWaitInfo };
+
+std::string WaitIfaceName(const ::testing::TestParamInfo<WaitIface>& info) {
+  static const char* const kNames[] = {"poll", "devpoll", "epoll", "kqueue", "sigwaitinfo"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+class WaitProtocolTest : public SimWorldTest,
+                         public ::testing::WithParamInterface<WaitIface> {
+ protected:
+  void SetUp() override {
+    switch (GetParam()) {
+      case WaitIface::kPoll:
+        break;
+      case WaitIface::kDevPoll: {
+        // Hints off: the listener then needs a wait-queue entry per sleep,
+        // so the waiter checks below see DP_POLL's own registration.
+        DevPollOptions options;
+        options.hints_enabled = false;
+        fd_ = sys_.OpenDevPoll(options);
+        const PollFd add{listen_fd_, kPollIn, 0};
+        ASSERT_GT(sys_.DevPollWrite(fd_, {&add, 1}), 0);
+        break;
+      }
+      case WaitIface::kEpoll:
+        fd_ = sys_.OpenEpoll();
+        ASSERT_EQ(sys_.EpollCtl(fd_, EpollOp::kAdd, listen_fd_, kPollIn), 0);
+        break;
+      case WaitIface::kKqueue: {
+        fd_ = sys_.OpenKqueue();
+        const KEvent add{listen_fd_, kFiltRead, kEvAdd, 0};
+        ASSERT_EQ(sys_.Kevent(fd_, {&add, 1}, {}, 0), 0);
+        break;
+      }
+      case WaitIface::kSigWaitInfo:
+        ASSERT_EQ(sys_.ArmAsync(listen_fd_, kSigRtMin + 1), 0);
+        break;
+    }
+  }
+
+  // One blocking wait. sigwaitinfo() has no error code: its empty result
+  // (timeout, stop or EINTR alike) reads as 0.
+  int Wait(int timeout_ms) {
+    PollFd results[4];
+    switch (GetParam()) {
+      case WaitIface::kPoll:
+        results[0] = PollFd{listen_fd_, kPollIn, 0};
+        return sys_.Poll({results, 1}, timeout_ms);
+      case WaitIface::kDevPoll: {
+        DvPoll args;
+        args.dp_fds = results;
+        args.dp_nfds = 4;
+        args.dp_timeout = timeout_ms;
+        return sys_.DevPollPoll(fd_, &args);
+      }
+      case WaitIface::kEpoll:
+        return sys_.EpollWait(fd_, results, 4, timeout_ms);
+      case WaitIface::kKqueue: {
+        KEvent events[4];
+        return sys_.Kevent(fd_, {}, events, timeout_ms);
+      }
+      case WaitIface::kSigWaitInfo:
+        return sys_.SigWaitInfo(timeout_ms).has_value() ? 1 : 0;
+    }
+    return -1;
+  }
+
+  // Every wait from here on is interrupted once it has slept.
+  void OpenEintrWindow() {
+    FaultSchedule schedule;
+    schedule.Add({FaultKind::kEintr, 0, kSimTimeNever, 1.0, 0, LinkDir::kBoth});
+    plane_ = std::make_unique<FaultPlane>(&sim_, schedule);
+    kernel_.set_fault_plane(plane_.get());
+  }
+
+  uint64_t waiters_added() { return kernel_.stats().poll_waitqueue_adds; }
+  uint64_t waiters_removed() { return kernel_.stats().poll_waitqueue_removes; }
+
+  int fd_ = -1;
+  std::unique_ptr<FaultPlane> plane_;
+};
+
+TEST_P(WaitProtocolTest, ZeroTimeoutReturnsAtOnceWithoutAWaiter) {
+  OpenEintrWindow();
+  const SimTime start = kernel_.now();
+  EXPECT_EQ(Wait(0), 0);
+  EXPECT_LT(kernel_.now(), start + Millis(1)) << "only the syscall's own charges";
+  EXPECT_EQ(waiters_added(), 0u);
+  EXPECT_EQ(plane_->stats().eintr_injected, 0u) << "EINTR is drawn only after a sleep";
+}
+
+TEST_P(WaitProtocolTest, TimeoutReturnsZeroNoEarlierThanTheDeadline) {
+  const SimTime start = kernel_.now();
+  EXPECT_EQ(Wait(10), 0);
+  EXPECT_GE(kernel_.now(), start + Millis(10));
+  EXPECT_EQ(waiters_removed(), waiters_added());
+}
+
+TEST_P(WaitProtocolTest, StoppedKernelReturnsWithoutSleeping) {
+  OpenEintrWindow();
+  kernel_.RequestStop();
+  const SimTime start = kernel_.now();
+  EXPECT_EQ(Wait(50), 0);
+  EXPECT_LT(kernel_.now(), start + Millis(1));
+  EXPECT_EQ(waiters_added(), 0u);
+  EXPECT_EQ(plane_->stats().eintr_injected, 0u);
+}
+
+TEST_P(WaitProtocolTest, EintrReturnsAfterOneSleep) {
+  OpenEintrWindow();
+  const SimTime start = kernel_.now();
+  EXPECT_EQ(Wait(10), GetParam() == WaitIface::kSigWaitInfo ? 0 : kErrIntr);
+  EXPECT_GE(kernel_.now(), start + Millis(10)) << "slept to the deadline first";
+  EXPECT_EQ(plane_->stats().eintr_injected, 1u);
+  // One sleep: one registration (none for the signal wait, whose queued
+  // signal wakes the process itself), unregistered before EINTR returns.
+  EXPECT_EQ(waiters_added(), GetParam() == WaitIface::kSigWaitInfo ? 0u : 1u);
+  EXPECT_EQ(waiters_removed(), waiters_added());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWaits, WaitProtocolTest,
+                         ::testing::Values(WaitIface::kPoll, WaitIface::kDevPoll,
+                                           WaitIface::kEpoll, WaitIface::kKqueue,
+                                           WaitIface::kSigWaitInfo),
+                         WaitIfaceName);
 
 }  // namespace
 }  // namespace scio

@@ -828,6 +828,30 @@ TEST(SciolintW1, EarlyReturnInsideLoopIsFlagged) {
   EXPECT_EQ(CountRule(findings, "W1"), 1);
 }
 
+TEST(SciolintW1, RegistrationAndDetachInSeparateLambdasPair) {
+  // The SimKernel::WaitFor shape: a core registers its waiter in an arm
+  // lambda and detaches it in a disarm lambda of the same function.
+  const auto findings = RunOn("src/core/waiters.cc", R"(
+    int Wait(SimKernel* kernel, Process& proc, File* file, Waiter* w) {
+      auto arm = [&] { file->poll_wait().AddExclusive(w); };
+      auto disarm = [&] { w->Detach(); };
+      return kernel->WaitFor(proc, 10, [] { return 0; }, arm, disarm);
+    }
+  )");
+  EXPECT_EQ(CountRule(findings, "W1"), 0);
+}
+
+TEST(SciolintW1, LambdaRegistrationWithoutDetachIsFlagged) {
+  const auto findings = RunOn("src/core/waiters.cc", R"(
+    int Wait(SimKernel* kernel, Process& proc, File* file, Waiter* w) {
+      auto arm = [&] { file->poll_wait().AddExclusive(w); };
+      auto disarm = [&] {};
+      return kernel->WaitFor(proc, 10, [] { return 0; }, arm, disarm);
+    }
+  )");
+  EXPECT_EQ(CountRule(findings, "W1"), 1);
+}
+
 TEST(SciolintW1, OutOfScopeLayersAreIgnored) {
   const auto findings = RunOn("src/load/driver.cc", R"(
     int Wait(File* file, Waiter* w) {
@@ -858,6 +882,23 @@ TEST(SciolintH1, HotpathAnnotationBansAllocation) {
     void Harvest() {
       auto w = std::make_unique<int>(3);
     }
+  )");
+  EXPECT_EQ(CountRule(findings, "H1"), 1);
+}
+
+TEST(SciolintH1, AnnotatedMemberTemplateInAHeaderBansAllocation) {
+  // SimKernel::WaitFor's shape: the annotation sits above the template
+  // header of an inline member template.
+  const auto findings = RunOn("src/kernel/waits.h", R"(
+    class Kernel {
+     public:
+      // sciolint: hotpath
+      template <typename Scan>
+      int WaitFor(Scan&& scan) {
+        std::function<int()> boxed = scan;
+        return boxed();
+      }
+    };
   )");
   EXPECT_EQ(CountRule(findings, "H1"), 1);
 }
