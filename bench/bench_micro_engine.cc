@@ -5,10 +5,14 @@
 //
 //   ./bench_micro_engine [out.json]   (default; used by CI)
 //       Runs a fixed, deterministic set of timed workloads — schedule/fire
-//       steady state and schedule/cancel/fire churn for both engines, plus a
-//       quick end-to-end figure sweep — and writes BENCH_engine.json
-//       (schema: bench name -> {wall_ms, events_scheduled, allocs}) so
-//       future PRs can track the perf trajectory.
+//       steady state and schedule/cancel/fire churn for both engines, a
+//       quick end-to-end figure sweep, and replay_fig15, the recorded engine
+//       op stream of one fig15 leg — and writes BENCH_engine.json (schema:
+//       bench name -> {wall_ms, events_scheduled, allocs}, plus
+//       routes_per_schedule and slot_searches_per_fire on the replay row) so
+//       future changes can track the perf trajectory. Exits 1 if the replay
+//       fires in a different order than the recording; timings never fail
+//       it.
 //
 //   ./bench_micro_engine --gbench [gbench flags...]
 //       Runs the google-benchmark suite: schedule/cancel/fire mixes at
@@ -21,10 +25,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -32,36 +35,10 @@
 #include <string>
 #include <vector>
 
+#include "bench/counting_new.h"
 #include "src/load/benchmark_run.h"
 #include "src/sim/event_queue.h"
-
-// --- allocation accounting ----------------------------------------------------
-// Counts every global operator new so the JSON can record allocs per bench.
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  std::abort();
-}
-
-void* operator new[](size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  std::abort();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+#include "src/trace/flight_recorder.h"
 
 namespace {
 
@@ -220,6 +197,116 @@ uint64_t RunHeapChurn(size_t pending, uint64_t ops, uint64_t* sink) {
       [&] { q.RunNext(); });
 }
 
+// --- fig15 replay ---------------------------------------------------------------
+//
+// The engine op stream of one real fig15 leg, recorded through the flight
+// recorder's engine tap and replayed op by op against a fresh queue: the same
+// schedule times in the same order (so the same sequence numbers), the same
+// cancels, NextTime() probes and fires. Each replayed event stamps its
+// schedule index when it fires, so the replay also checks that the engine
+// fires in exactly the recorded order.
+
+class EngineOpLog {
+ public:
+  using Op = scio::EventQueue::Op;
+
+  static void Observe(void* ctx, Op op, SimTime when, uint64_t seq) {
+    static_cast<EngineOpLog*>(ctx)->Append(op, when, seq);
+  }
+
+  // Runs `config` with the tap attached. False if the stream cannot be
+  // replayed: some schedule did not carry the next sequence number.
+  bool Record(scio::BenchmarkRunConfig config) {
+    scio::FlightRecorder recorder(1);
+    recorder.set_engine_observer(&EngineOpLog::Observe, this);
+    config.recorder = &recorder;
+    scio::RunBenchmark(config);
+    return consistent_;
+  }
+
+  size_t schedules() const { return when_.size(); }
+  size_t fires() const { return fired_.size(); }
+  bool FiredInRecordedOrder(const std::vector<uint32_t>& fired) const {
+    return fired == fired_;
+  }
+
+  // Replays the stream into `queue`; fired[i] becomes the schedule index of
+  // the i-th event fired. `handles` must hold schedules() entries. Returns
+  // events scheduled.
+  uint64_t Replay(scio::EventQueue* queue, std::vector<scio::EventHandle>* handles,
+                  std::vector<uint32_t>* fired) const {
+    size_t next_schedule = 0;
+    size_t next_cancel = 0;
+    SimTime sink = 0;
+    for (const Op op : ops_) {
+      switch (op) {
+        case Op::kSchedule:
+          (*handles)[next_schedule] =
+              queue->Schedule(when_[next_schedule],
+                              Stamp{fired, static_cast<uint32_t>(next_schedule)});
+          ++next_schedule;
+          break;
+        case Op::kCancel:
+          (*handles)[cancels_[next_cancel++]].Cancel();
+          break;
+        case Op::kNextTime:
+          sink += queue->NextTime();
+          break;
+        case Op::kRunNext:
+          queue->RunNext();
+          break;
+      }
+    }
+    benchmark::DoNotOptimize(sink);
+    return next_schedule;
+  }
+
+ private:
+  struct Stamp {
+    std::vector<uint32_t>* fired;
+    uint32_t index;
+    void operator()() const { fired->push_back(index); }
+  };
+
+  void Append(Op op, SimTime when, uint64_t seq) {
+    ops_.push_back(op);
+    switch (op) {
+      case Op::kSchedule:
+        consistent_ = consistent_ && seq == when_.size();
+        when_.push_back(when);
+        break;
+      case Op::kCancel:
+        cancels_.push_back(static_cast<uint32_t>(seq));
+        break;
+      case Op::kNextTime:
+        break;
+      case Op::kRunNext:
+        fired_.push_back(static_cast<uint32_t>(seq));
+        break;
+    }
+  }
+
+  std::vector<Op> ops_;
+  std::vector<SimTime> when_;      // one per schedule; the index is its seq
+  std::vector<uint32_t> cancels_;  // seq of each cancel that took effect
+  std::vector<uint32_t> fired_;    // seq of each fired event
+  bool consistent_ = true;
+};
+
+// One fig15 load-501 leg: thttpd on /dev/poll at 900 req/s, with
+// bench_fig15_successors' seeds and its 10 s generation window.
+scio::BenchmarkRunConfig Fig15Leg() {
+  scio::BenchmarkRunConfig config;
+  config.server = scio::ServerKind::kThttpdDevPoll;
+  config.active.request_rate = 900;
+  config.active.duration = scio::Seconds(10);
+  config.active.seed = 42 + 900;
+  config.inactive.connections = 501;
+  config.inactive.seed = 42 * 31 + 900;
+  config.sample_width = scio::Seconds(1);
+  return config;
+}
+
 // --- google-benchmark suite --------------------------------------------------
 
 void BM_WheelScheduleFire(benchmark::State& state) {
@@ -269,17 +356,20 @@ struct TimedResult {
   double wall_ms = 0;
   uint64_t events_scheduled = 0;
   uint64_t allocs = 0;
+  // Wheel work per event; replay rows only (negative: not reported).
+  double routes_per_schedule = -1;
+  double slot_searches_per_fire = -1;
 };
 
 template <typename Fn>
 TimedResult Timed(const std::string& name, Fn fn) {
   TimedResult r;
   r.name = name;
-  const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t allocs_before = scio::HeapAllocCount();
   const auto start = std::chrono::steady_clock::now();
   r.events_scheduled = fn();
   const auto end = std::chrono::steady_clock::now();
-  r.allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  r.allocs = scio::HeapAllocCount() - allocs_before;
   r.wall_ms = std::chrono::duration<double, std::milli>(end - start).count();
   return r;
 }
@@ -314,6 +404,34 @@ int JsonMain(const char* out_path) {
                           [&] { return RunHeapChurn(kPending, kOps / 2, &sink); }));
   results.push_back(Timed("figure_sweep_quick", [] { return RunQuickFigureSweep(); }));
 
+  EngineOpLog log;
+  if (!log.Record(Fig15Leg())) {
+    std::fprintf(stderr, "replay_fig15: recorded stream skips a sequence number\n");
+    return 1;
+  }
+  // One leg replays in tens of milliseconds, so the row is the median of
+  // several passes, each into a fresh queue.
+  constexpr int kReplayPasses = 9;
+  std::vector<scio::EventHandle> handles(log.schedules());
+  std::vector<uint32_t> fired;
+  fired.reserve(log.fires());
+  bool replay_in_order = true;
+  std::vector<TimedResult> passes;
+  for (int pass = 0; pass < kReplayPasses; ++pass) {
+    fired.clear();
+    scio::EventQueue queue;
+    TimedResult r = Timed("replay_fig15", [&] { return log.Replay(&queue, &handles, &fired); });
+    r.routes_per_schedule = static_cast<double>(queue.counters().routes) /
+                            static_cast<double>(log.schedules());
+    r.slot_searches_per_fire = static_cast<double>(queue.counters().slot_searches) /
+                               static_cast<double>(log.fires());
+    replay_in_order = replay_in_order && log.FiredInRecordedOrder(fired);
+    passes.push_back(r);
+  }
+  std::sort(passes.begin(), passes.end(),
+            [](const TimedResult& a, const TimedResult& b) { return a.wall_ms < b.wall_ms; });
+  results.push_back(passes[kReplayPasses / 2]);
+
   FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
@@ -324,19 +442,28 @@ int JsonMain(const char* out_path) {
     const TimedResult& r = results[i];
     std::fprintf(f,
                  "  \"%s\": {\"wall_ms\": %.3f, \"events_scheduled\": %llu, "
-                 "\"allocs\": %llu}%s\n",
+                 "\"allocs\": %llu",
                  r.name.c_str(), r.wall_ms,
                  static_cast<unsigned long long>(r.events_scheduled),
-                 static_cast<unsigned long long>(r.allocs),
-                 i + 1 < results.size() ? "," : "");
+                 static_cast<unsigned long long>(r.allocs));
+    if (r.routes_per_schedule >= 0) {
+      std::fprintf(f, ", \"routes_per_schedule\": %.3f, \"slot_searches_per_fire\": %.3f",
+                   r.routes_per_schedule, r.slot_searches_per_fire);
+    }
+    std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "}\n");
   std::fclose(f);
 
   for (const TimedResult& r : results) {
-    std::printf("%-22s %10.3f ms  %12llu events  %12llu allocs\n", r.name.c_str(),
+    std::printf("%-22s %10.3f ms  %12llu events  %12llu allocs", r.name.c_str(),
                 r.wall_ms, static_cast<unsigned long long>(r.events_scheduled),
                 static_cast<unsigned long long>(r.allocs));
+    if (r.routes_per_schedule >= 0) {
+      std::printf("  %.3f routes/schedule  %.3f slot searches/fire", r.routes_per_schedule,
+                  r.slot_searches_per_fire);
+    }
+    std::printf("\n");
   }
   std::printf("steady speedup (heap/wheel): %.2fx\n",
               results[1].wall_ms / results[0].wall_ms);
@@ -344,6 +471,11 @@ int JsonMain(const char* out_path) {
               results[3].wall_ms / results[2].wall_ms);
   std::printf("(json written to %s)\n", out_path);
   (void)sink;
+  if (!replay_in_order) {
+    std::fprintf(stderr, "replay_fig15: the replay fired in a different order than the "
+                         "recorded leg\n");
+    return 1;
+  }
   return 0;
 }
 

@@ -103,8 +103,10 @@ class SimKernel {
   }
   ~SimKernel() {
     // The queue outlives this kernel in the usual declaration order; detach
-    // so late pool growth cannot write into a dead ledger.
+    // so late pool growth cannot write into a dead ledger, and a recorder's
+    // engine tap cannot outlive the run it was lent to.
     sim_->queue().set_mem_hook(nullptr, nullptr);
+    sim_->queue().set_observer(nullptr, nullptr);
   }
   SimKernel(const SimKernel&) = delete;
   SimKernel& operator=(const SimKernel&) = delete;
@@ -248,8 +250,13 @@ class SimKernel {
 
   // --- flight recorder ---------------------------------------------------
   // Optional and borrowed; null (the default) records nothing. The recorder
-  // is a pure observer — attaching one cannot perturb a seeded run.
-  void set_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
+  // is a pure observer — attaching one cannot perturb a seeded run. Its
+  // engine tap, if any, becomes the event queue's observer.
+  void set_recorder(FlightRecorder* recorder) {
+    recorder_ = recorder;
+    sim_->queue().set_observer(recorder != nullptr ? recorder->engine_observer() : nullptr,
+                               recorder != nullptr ? recorder->engine_observer_ctx() : nullptr);
+  }
   FlightRecorder* recorder() { return recorder_; }
 
   // Record an instant event (no-op when no recorder is attached; compiled

@@ -6,7 +6,7 @@
 
 namespace scio {
 
-void Link::Transmit(size_t bytes, EventCallback deliver) {
+void Link::Transmit(size_t bytes, EventCallback&& deliver) {
   const SimTime start = busy_until_ > sim_->now() ? busy_until_ : sim_->now();
   const auto tx_time =
       static_cast<SimDuration>(static_cast<double>(bytes) * 8.0 * 1e9 / bandwidth_bps_);
@@ -35,7 +35,8 @@ void Link::Transmit(size_t bytes, EventCallback deliver) {
   sim_->ScheduleAt(arrival, std::move(deliver));
 }
 
-bool Link::TransmitSegment(size_t bytes, SimDuration extra_delay, EventCallback deliver) {
+bool Link::TransmitSegment(size_t bytes, SimDuration extra_delay,
+                           EventCallback&& deliver) {
   const SimTime start = busy_until_ > sim_->now() ? busy_until_ : sim_->now();
   const auto tx_time =
       static_cast<SimDuration>(static_cast<double>(bytes) * 8.0 * 1e9 / bandwidth_bps_);

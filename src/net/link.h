@@ -28,8 +28,9 @@ class Link {
 
   // Queue `bytes` for transmission; `deliver` runs at the arrival time.
   // EventCallback stores small captures inline, so delivery scheduling does
-  // not allocate once the event pool has warmed up.
-  void Transmit(size_t bytes, EventCallback deliver);
+  // not allocate once the event pool has warmed up, and it is passed by
+  // rvalue reference down to the event queue, which moves it once.
+  void Transmit(size_t bytes, EventCallback&& deliver);
 
   // Transport-plane variant: a kPacketLoss fault hit DROPS the frame instead
   // of delaying it (the frame still occupies the wire — bandwidth is spent
@@ -37,7 +38,7 @@ class Link {
   // and the caller's retransmission machinery repairs the stream.
   // `extra_delay` adds seeded one-way jitter to the arrival time; in-order
   // delivery is still enforced, so jitter stretches RTT without reordering.
-  bool TransmitSegment(size_t bytes, SimDuration extra_delay, EventCallback deliver);
+  bool TransmitSegment(size_t bytes, SimDuration extra_delay, EventCallback&& deliver);
 
   // Subject this link to a fault schedule (loss, latency spikes, flaps).
   // `toward_server` tells the plane which direction this link carries.

@@ -68,6 +68,7 @@ void EventQueue::PushSlot(int level, int index, uint32_t idx) {
   // Push-front: touches only the new node (warm) and the slot-head array.
   const int s = level * kSlotsPerLevel + index;
   Node& n = node(idx);
+  ++counters_.routes;
   n.state = NodeState::kInSlot;
   n.next = slot_head_[s];
   slot_head_[s] = idx;
@@ -83,78 +84,47 @@ uint32_t EventQueue::DetachSlot(int level, int index) {
 }
 
 void EventQueue::Route(uint32_t idx) {
-  Node& n = node(idx);
-  assert(n.when >= current_tick_ && "live events never precede the wheel origin");
-  const uint64_t when = static_cast<uint64_t>(n.when);
-  const uint64_t cur = static_cast<uint64_t>(current_tick_);
-  const uint64_t delta = when - cur;
+  const uint64_t tick = Tick(node(idx).when);
+  const uint64_t cur = current_tick_;
+  assert(tick >= cur && "live events never precede the wheel origin");
+  const uint64_t delta = tick - cur;
   int level = delta == 0 ? 0 : (63 - std::countl_zero(delta)) / kLevelBits;
-  if (level >= kLevels) {
-    level = kLevels - 1;
-  }
-  // A level's 64 slots only disambiguate times within one rotation of the
-  // cursor; if the delta straddles a rotation boundary, bump up a level.
-  while (level < kLevels - 1 &&
-         (when >> (level * kLevelBits)) - (cur >> (level * kLevelBits)) >=
-             static_cast<uint64_t>(kSlotsPerLevel)) {
+  // A level's 64 slots only disambiguate ticks within one rotation of the
+  // cursor; if the delta straddles a rotation boundary, bump up a level. The
+  // top level spans every SimTime, so the bump always stops there.
+  while ((tick >> (level * kLevelBits)) - (cur >> (level * kLevelBits)) >=
+         static_cast<uint64_t>(kSlotsPerLevel)) {
     ++level;
   }
-  const int shift = level * kLevelBits;
-  int index;
-  if ((when >> shift) - (cur >> shift) >= static_cast<uint64_t>(kSlotsPerLevel)) {
-    // Beyond even the top level's horizon (> 64^kLevels ns out): park in the
-    // farthest slot; each visit of that slot re-routes the node closer.
-    index = static_cast<int>(((cur >> shift) + (kSlotsPerLevel - 1)) &
-                             (kSlotsPerLevel - 1));
-  } else {
-    index = static_cast<int>((when >> shift) & (kSlotsPerLevel - 1));
-  }
+  assert(level < kLevels);
+  const int index = static_cast<int>((tick >> (level * kLevelBits)) & (kSlotsPerLevel - 1));
   PushSlot(level, index, idx);
 }
 
-EventHandle EventQueue::Schedule(SimTime when, Callback cb) {
-  if (when < 0) {
-    when = 0;
-  }
-  if (when < current_tick_) {
-    // The wheel origin overshot (NextTime resolves the next tick eagerly,
-    // and the clock owner may sit before it). Roll the origin back so the
-    // new event still fires in exact time order.
-    if (DueBufferActive()) {
-      FlushDueIntoWheel();
-    }
+void EventQueue::InsertDue(uint32_t idx) {
+  Node& n = node(idx);
+  n.state = NodeState::kInDue;
+  if (due_pos_ == due_.size()) {
     due_.clear();
     due_pos_ = 0;
-    current_tick_ = when;
   }
-  const uint32_t idx = AllocNode();
-  Node& n = node(idx);
-  n.when = when;
-  n.seq = next_seq_++;
-  n.cancelled = false;
-  this->cb(idx) = std::move(cb);
-  Route(idx);
-  ++live_count_;
-  return EventHandle(this, idx, n.gen);
-}
-
-void EventQueue::CancelAt(uint32_t idx, uint32_t gen) {
-  Node& n = node(idx);
-  if (n.gen != gen || n.cancelled) {
-    return;  // already fired, cancelled, or the node was recycled
+  // The new node has the largest seq so far: it goes after every entry with
+  // a time <= its own.
+  const auto head = due_.begin() + static_cast<std::ptrdiff_t>(due_pos_);
+  const auto pos = due_.insert(
+      std::upper_bound(head, due_.end(), n.when,
+                       [this](SimTime when, uint32_t other) { return when < node(other).when; }),
+      idx);
+  if (pos == due_.begin() + static_cast<std::ptrdiff_t>(due_pos_)) {
+    head_when_ = n.when;
   }
-  // Lazy unlink: the node stays chained (and its callback alive) until the
-  // wheel next visits its slot or the due buffer reaches it.
-  n.cancelled = true;
-  --live_count_;
 }
 
-bool EventQueue::PendingAt(uint32_t idx, uint32_t gen) const {
-  const Node& n = node(idx);
-  return n.gen == gen && !n.cancelled;
-}
-
-void EventQueue::FlushDueIntoWheel() {
+void EventQueue::RollBack(uint64_t tick) {
+  // The origin overshot: NextTime resolves the next tick eagerly, and the
+  // clock owner may sit before it. Every wheel node lies after the due run,
+  // so after the move only the run itself needs re-routing.
+  current_tick_ = tick;
   for (size_t i = due_pos_; i < due_.size(); ++i) {
     const uint32_t idx = due_[i];
     if (node(idx).cancelled) {
@@ -165,8 +135,59 @@ void EventQueue::FlushDueIntoWheel() {
   }
   due_.clear();
   due_pos_ = 0;
+  head_when_ = kNoHead;
 }
 
+// sciolint: hotpath
+EventHandle EventQueue::Schedule(SimTime when, Callback&& cb) {
+  if (when < 0) {
+    when = 0;
+  }
+  const uint32_t idx = AllocNode();
+  Node& n = node(idx);
+  n.when = when;
+  n.seq = next_seq_++;
+  n.cancelled = false;
+  this->cb(idx) = std::move(cb);
+  if (observer_ != nullptr) {
+    observer_(observer_ctx_, Op::kSchedule, when, n.seq);
+  }
+  const uint64_t tick = Tick(when);
+  if (tick > current_tick_) {
+    Route(idx);
+  } else {
+    if (tick < current_tick_) {
+      RollBack(tick);
+    }
+    InsertDue(idx);
+  }
+  ++live_count_;
+  return EventHandle(this, idx, n.gen);
+}
+
+void EventQueue::CancelAt(uint32_t idx, uint32_t gen) {
+  Node& n = node(idx);
+  if (n.gen != gen || n.cancelled) {
+    return;  // already fired, cancelled, or the node was recycled
+  }
+  // Lazy unlink: the node stays chained (and its callback alive) until the
+  // wheel next visits its slot or the due run reaches it.
+  n.cancelled = true;
+  --live_count_;
+  if (n.state == NodeState::kInDue && due_[due_pos_] == idx) {
+    head_when_ = kNoHead;
+  }
+  if (observer_ != nullptr) {
+    observer_(observer_ctx_, Op::kCancel, n.when, n.seq);
+  }
+}
+
+bool EventQueue::PendingAt(uint32_t idx, uint32_t gen) const {
+  const Node& n = node(idx);
+  return n.gen == gen && !n.cancelled;
+}
+
+// sciolint: hotpath
 void EventQueue::CollectDue() {
   const int index = static_cast<int>(current_tick_ & (kSlotsPerLevel - 1));
   uint32_t it = DetachSlot(0, index);
@@ -180,9 +201,9 @@ void EventQueue::CollectDue() {
     Node& n = node(it);
     if (n.cancelled) {
       FreeNode(it);  // live_count_ already dropped at Cancel time
-    } else if (n.when == current_tick_) {
+    } else if (Tick(n.when) == current_tick_) {
       n.state = NodeState::kInDue;
-      due_.push_back(it);
+      sort_keys_.push_back({n.when, n.seq, it});
     } else {
       // Residue collision (possible after an origin rollback): send the node
       // to its true position so the slot no longer misleads the search.
@@ -190,20 +211,25 @@ void EventQueue::CollectDue() {
     }
     it = next;
   }
-  // Same-time events fire in schedule order no matter which wheel level they
+  // Events fire in (when, seq) order no matter which wheel level they
   // arrived from — this sort is what makes the wheel replay-identical to the
   // old (time, seq) priority queue.
-  if (due_.size() > 1) {
-    std::sort(due_.begin(), due_.end(),
-              [this](uint32_t a, uint32_t b) { return node(a).seq < node(b).seq; });
+  if (sort_keys_.size() > 1) {
+    std::sort(sort_keys_.begin(), sort_keys_.end(), [](const SortKey& x, const SortKey& y) {
+      return x.when != y.when ? x.when < y.when : x.seq < y.seq;
+    });
   }
-  due_tick_ = current_tick_;
+  for (const SortKey& key : sort_keys_) {
+    due_.push_back(key.idx);
+  }
+  sort_keys_.clear();
 }
 
-bool EventQueue::FindNextSlot(int* level, int* index, SimTime* lower_bound) const {
-  SimTime best = kSimTimeNever;
+bool EventQueue::FindNextSlot(int* level, int* index, uint64_t* lower_bound) {
+  ++counters_.slot_searches;
+  uint64_t best = 0;
   bool found = false;
-  const uint64_t cur = static_cast<uint64_t>(current_tick_);
+  const uint64_t cur = current_tick_;
   for (int l = 0; l < kLevels; ++l) {
     const uint64_t occ = occupied_[l];
     if (occ == 0) {
@@ -224,12 +250,9 @@ bool EventQueue::FindNextSlot(int* level, int* index, SimTime* lower_bound) cons
       cand_pos = pos - static_cast<uint64_t>(cursor) +
                  static_cast<uint64_t>(kSlotsPerLevel + idx);
     }
-    const uint64_t t64 = cand_pos << shift;
-    SimTime t = t64 > static_cast<uint64_t>(kSimTimeNever) ? kSimTimeNever
-                                                           : static_cast<SimTime>(t64);
-    if (t < current_tick_) {
-      t = current_tick_;  // cursor slot of a coarse level: lower bound is "now"
-    }
+    // The cursor slot of a coarse level starts before the origin: its lower
+    // bound is the origin itself.
+    const uint64_t t = std::max(cand_pos << shift, cur);
     // `<=`: on ties a higher level wins, so far slots cascade down before the
     // level-0 slot drains — required for same-time seq ordering.
     if (!found || t <= best) {
@@ -243,6 +266,7 @@ bool EventQueue::FindNextSlot(int* level, int* index, SimTime* lower_bound) cons
   return found;
 }
 
+// sciolint: hotpath
 void EventQueue::Cascade(int level, int index) {
   uint32_t it = DetachSlot(level, index);
   while (it != kNil) {
@@ -259,14 +283,18 @@ void EventQueue::Cascade(int level, int index) {
   }
 }
 
-SimTime EventQueue::NextTime() {
-  // Drop cancelled events parked at the head of the due buffer.
-  while (DueBufferActive() && node(due_[due_pos_]).cancelled) {
-    FreeNode(due_[due_pos_]);
+// sciolint: hotpath
+SimTime EventQueue::Resolve() {
+  // Drop cancelled events parked at the head of the due run.
+  while (due_pos_ < due_.size()) {
+    const uint32_t idx = due_[due_pos_];
+    const Node& n = node(idx);
+    if (!n.cancelled) {
+      head_when_ = n.when;
+      return head_when_;
+    }
+    FreeNode(idx);
     ++due_pos_;
-  }
-  if (DueBufferActive()) {
-    return due_tick_;
   }
   due_.clear();
   due_pos_ = 0;
@@ -276,35 +304,48 @@ SimTime EventQueue::NextTime() {
   while (true) {
     int level = 0;
     int index = 0;
-    SimTime lower_bound = kSimTimeNever;
+    uint64_t lower_bound = 0;
     if (!FindNextSlot(&level, &index, &lower_bound)) {
       return kSimTimeNever;  // unreachable while live_count_ > 0
     }
     current_tick_ = lower_bound;
     if (level == 0) {
       CollectDue();
-      if (DueBufferActive()) {
-        return due_tick_;
+      if (!due_.empty()) {
+        head_when_ = node(due_.front()).when;
+        return head_when_;
       }
-      // The slot only held residue-colliding future nodes; they have been
-      // re-routed, so the search now makes progress.
+      // The slot only held cancelled or residue-colliding future nodes; they
+      // have been reaped or re-routed, so the search now makes progress.
     } else {
       Cascade(level, index);
     }
   }
 }
 
+// sciolint: hotpath
 bool EventQueue::RunNext() {
-  if (NextTime() == kSimTimeNever) {
+  if (head_when_ == kNoHead && Resolve() == kSimTimeNever) {
     return false;
   }
-  // NextTime() leaves a live event at the head of the due buffer.
+  // The due-run head is live: fire it.
   const uint32_t idx = due_[due_pos_++];
   EventCallback callback = std::move(cb(idx));
   --live_count_;
   ++executed_count_;
+  if (observer_ != nullptr) {
+    observer_(observer_ctx_, Op::kRunNext, node(idx).when, node(idx).seq);
+  }
   FreeNode(idx);  // before the callback runs: Cancel/pending from inside it
                   // see a consistent "already fired" state
+  // Peek at the next entry so the probes that follow stay inline.
+  head_when_ = kNoHead;
+  if (due_pos_ < due_.size()) {
+    const Node& next = node(due_[due_pos_]);
+    if (!next.cancelled) {
+      head_when_ = next.when;
+    }
+  }
   callback();
   return true;
 }
@@ -315,6 +356,7 @@ void EventQueue::Clear() {
   }
   due_.clear();
   due_pos_ = 0;
+  head_when_ = kNoHead;
   for (int l = 0; l < kLevels; ++l) {
     uint64_t occ = occupied_[l];
     while (occ != 0) {

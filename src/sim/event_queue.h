@@ -9,30 +9,43 @@
 // Implementation: a hierarchical timer wheel (Varghese/Lauck; the same shape
 // as the Linux kernel's timer wheel) backed by a slab of pooled event nodes.
 //
-//   - kLevels levels of 64 slots each; level l has a granularity of 64^l
-//     nanosecond ticks, so the wheel spans 64^kLevels ns (> 1000 years of
-//     simulated time) before the farthest-slot clamp engages.
+//   - Wheel ticks are 2^kTickBits ns (65.536 µs). kLevels levels of 64
+//     slots each; level l has a granularity of 64^l ticks, and the top level
+//     spans every SimTime, so no event is ever parked beyond the horizon. The
+//     simulator's two dominant delays sit low: a link delivery 131–262 µs
+//     out (a 200 µs one is 3-4 ticks) lands on level 0, whose rotation is
+//     4.2 ms, and never cascades; an inactive connection's 300–500 ms
+//     trickle timer (400 ms is ~6,100 ticks) lands on level 2, past level
+//     1's 268 ms rotation, and cascades at most twice. The width was picked
+//     with bench_micro_engine's replay_fig15 row (EXPERIMENTS.md).
 //   - Scheduling appends an intrusive node to one slot: O(1), no allocation
 //     once the slab has warmed up. Callbacks live inline in the node
 //     (EventCallback), so the steady state performs zero heap traffic.
 //   - Advancing cascades far slots toward level 0 using per-level occupancy
 //     bitmaps to jump straight to the next occupied slot — no tick-at-a-time
 //     stepping, which matters because simulated time moves in irregular
-//     nanosecond leaps.
-//   - When the earliest slot reaches level 0 its events all share one exact
-//     tick; they are drained into a scratch buffer and sorted by sequence
-//     number, which restores global FIFO order for same-time events even
-//     when some of them cascaded down from far levels.
+//     leaps.
+//   - When the earliest slot reaches level 0 it is drained into the due
+//     run: that tick's events sorted by (time, sequence), which restores
+//     global FIFO order for same-time events even when some of them cascaded
+//     down from far levels. A Schedule for the due run's own tick (a packet
+//     sent from inside a callback, a wakeup) is inserted into the run in
+//     order; one for an earlier tick rolls the wheel origin back and flushes
+//     the run into the wheel.
 //   - Slot lists are singly linked and push-front: scheduling touches only
 //     the new node and the slot-head array, never another (cold) node. The
-//     resulting arbitrary intra-slot order is harmless because the due-buffer
+//     resulting arbitrary intra-slot order is harmless because the due-run
 //     sort is what establishes firing order.
+//   - NextTime() is an inline read of the due-run head's time; only an
+//     exhausted or cancelled head takes the slow path that drains the next
+//     slot, so the simulator's repeated "anything due before t?" probes
+//     cost a load and a compare.
 //   - Cancellation is an index + generation counter: EventHandle stays
 //     copyable and trivially destructible, Cancel() after the event fired
 //     (or on an empty handle, or twice) is a safe no-op, and freed nodes are
 //     recycled through a free list. Cancelled nodes are unlinked lazily, when
-//     the wheel next visits their slot (same discipline the old engine used
-//     for its heap).
+//     the wheel next visits their slot or the due run reaches them (same
+//     discipline the old engine used for its heap).
 //
 // Lifetime: handles weakly reference the queue by pointer, so a handle must
 // not be cancelled/queried after its EventQueue is destroyed. Every holder
@@ -81,15 +94,20 @@ class EventQueue {
  public:
   using Callback = EventCallback;
 
+  // Width of one wheel tick (level-0 slot), 2^kTickBits ns.
+  static constexpr int kTickBits = 16;
+  static constexpr SimTime kTickNs = SimTime{1} << kTickBits;
+
   EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
   ~EventQueue();
 
-  // Schedule `cb` at absolute time `when`. Returns a cancellation handle.
-  // `when` earlier than every already-executed event is clamped forward so
-  // the new event simply fires next.
-  EventHandle Schedule(SimTime when, Callback cb);
+  // Schedule `cb` at absolute time `when` (negative times count as 0).
+  // Returns a cancellation handle. A `when` earlier than events already
+  // fired still fires next, ahead of every pending event. The callback is
+  // moved once, into its node.
+  EventHandle Schedule(SimTime when, Callback&& cb);
 
   bool empty() const { return live_count_ == 0; }
 
@@ -97,7 +115,12 @@ class EventQueue {
   size_t size() const { return live_count_; }
 
   // Time of the earliest live event; kSimTimeNever when empty.
-  SimTime NextTime();
+  SimTime NextTime() {
+    if (observer_ != nullptr) {
+      observer_(observer_ctx_, Op::kNextTime, 0, 0);
+    }
+    return head_when_ != kNoHead ? head_when_ : Resolve();
+  }
 
   // Pop and run the earliest live event. Returns false if the queue is empty.
   bool RunNext();
@@ -118,6 +141,26 @@ class EventQueue {
   size_t tracked_bytes() const {
     return chunks_.size() * kChunkSize * (sizeof(Node) + sizeof(EventCallback));
   }
+
+  // Engine-op observer: sees every Schedule (its time and sequence number),
+  // every Cancel that takes effect, every NextTime() probe and every fired
+  // event, in call order. A plain function pointer like the mem hook, so
+  // scio_sim stays below scio_trace; FlightRecorder carries one into a run.
+  // Observing changes nothing the engine does.
+  enum class Op : uint8_t { kSchedule, kCancel, kNextTime, kRunNext };
+  using Observer = void (*)(void* ctx, Op op, SimTime when, uint64_t seq);
+  void set_observer(Observer observer, void* ctx) {
+    observer_ = observer;
+    observer_ctx_ = ctx;
+  }
+
+  // Real-cost counters of the wheel's own work: nodes pushed into a slot
+  // (at scheduling or by a cascade) and occupied-slot searches.
+  struct Counters {
+    uint64_t routes = 0;
+    uint64_t slot_searches = 0;
+  };
+  const Counters& counters() const { return counters_; }
 
   // Byte-accounting hook: called with the signed delta whenever the pool
   // grows (and with -tracked_bytes() when the hook is swapped out). A plain
@@ -140,16 +183,19 @@ class EventQueue {
 
   static constexpr int kLevelBits = 6;
   static constexpr int kSlotsPerLevel = 1 << kLevelBits;         // 64
-  static constexpr int kLevels = 10;                             // spans 2^60 ns
+  static constexpr int kLevels =                                 // spans 2^63 ns
+      (63 - kTickBits + kLevelBits - 1) / kLevelBits;
   static constexpr uint32_t kNil = UINT32_MAX;
   static constexpr size_t kChunkSize = 1024;                     // nodes per slab chunk
+  static constexpr SimTime kNoHead = -1;  // head_when_: resolve the due run first
+  static_assert(kTickBits >= 10 && kTickBits <= 16, "keep ticks in the µs range");
 
   enum class NodeState : uint8_t { kFree, kInSlot, kInDue };
 
   // Hot routing metadata only — exactly 32 bytes, two per cache line. The
   // callback lives in a parallel array (cb_chunks_): cascades re-route nodes
-  // many times but only Schedule and RunNext ever touch the callback, so
-  // keeping it out of Node shrinks the cascade working set ~4.5x.
+  // but only Schedule and RunNext ever touch the callback, so keeping it out
+  // of Node shrinks the cascade working set ~4.5x.
   struct Node {
     SimTime when = 0;
     uint64_t seq = 0;
@@ -160,6 +206,8 @@ class EventQueue {
   };
   static_assert(sizeof(Node) == 32, "keep the hot node at half a cache line");
 
+  static uint64_t Tick(SimTime when) { return static_cast<uint64_t>(when) >> kTickBits; }
+
   Node& node(uint32_t idx) { return chunks_[idx / kChunkSize][idx % kChunkSize]; }
   const Node& node(uint32_t idx) const { return chunks_[idx / kChunkSize][idx % kChunkSize]; }
   EventCallback& cb(uint32_t idx) { return cb_chunks_[idx / kChunkSize][idx % kChunkSize]; }
@@ -167,31 +215,36 @@ class EventQueue {
   uint32_t AllocNode();
   void FreeNode(uint32_t idx);  // destroys the callback, bumps the generation
 
-  // Place a node into the wheel according to its `when` and current_tick_.
+  // Place a node into the wheel according to its tick and current_tick_.
   void Route(uint32_t idx);
   void PushSlot(int level, int index, uint32_t idx);
 
   // Detach a whole slot list (returns the head; bitmap bit cleared).
   uint32_t DetachSlot(int level, int index);
 
-  // Find the occupied slot with the smallest lower-bound time. Returns false
+  // Find the occupied slot with the smallest lower-bound tick. Returns false
   // when the wheel is empty. Ties prefer higher levels so far slots cascade
-  // before a same-time level-0 slot drains (required for seq ordering).
-  bool FindNextSlot(int* level, int* index, SimTime* lower_bound) const;
+  // before a same-tick level-0 slot drains (required for seq ordering).
+  bool FindNextSlot(int* level, int* index, uint64_t* lower_bound);
 
   // Move every node of slot (level, index) down the wheel after advancing
   // current_tick_ to the slot's lower bound.
   void Cascade(int level, int index);
 
-  // Pull every event with time == current_tick_ out of its level-0 slot into
-  // the due buffer, sorted by sequence number.
+  // Drain the level-0 slot of current_tick_ into the due run, sorted by
+  // (when, seq).
   void CollectDue();
 
-  // Re-insert unfired due-buffer events into the wheel (rollback path: a new
-  // event was scheduled earlier than the buffered tick).
-  void FlushDueIntoWheel();
+  // Insert a node of tick current_tick_ into the due run, in order.
+  void InsertDue(uint32_t idx);
 
-  bool DueBufferActive() const { return due_pos_ < due_.size(); }
+  // Move the wheel origin back to `tick` (earlier than current_tick_) and
+  // route the unfired due run back into the wheel.
+  void RollBack(uint64_t tick);
+
+  // NextTime()'s slow path: reap a cancelled due-run head, or drain the next
+  // slot once the run is exhausted. Sets head_when_ unless the queue is empty.
+  SimTime Resolve();
 
   void CancelAt(uint32_t idx, uint32_t gen);
   bool PendingAt(uint32_t idx, uint32_t gen) const;
@@ -204,18 +257,32 @@ class EventQueue {
   uint32_t slot_head_[kLevels * kSlotsPerLevel];
   uint64_t occupied_[kLevels] = {};
 
-  // Earliest-tick drain buffer: node indices, sorted by seq, consumed by
-  // RunNext. Persistent capacity.
+  // The due run: node indices of current_tick_'s events, sorted by
+  // (when, seq), consumed from due_pos_ by RunNext. Kept to 4-byte entries
+  // so an in-order insert into a long run shifts little. Persistent
+  // capacity. Invariant: no wheel slot holds a node of current_tick_
+  // outside Resolve.
   std::vector<uint32_t> due_;
   size_t due_pos_ = 0;
-  SimTime due_tick_ = 0;
+  SimTime head_when_ = kNoHead;  // when of the live due-run head, if known
+  // CollectDue's scratch: the drained slot with each node's sort key, so the
+  // sort never chases node indices through the slab.
+  struct SortKey {
+    SimTime when;
+    uint64_t seq;
+    uint32_t idx;
+  };
+  std::vector<SortKey> sort_keys_;
 
-  SimTime current_tick_ = 0;  // wheel origin; <= every live event's time
+  uint64_t current_tick_ = 0;  // wheel origin; <= every live event's tick
   uint64_t next_seq_ = 0;
   size_t live_count_ = 0;
   uint64_t executed_count_ = 0;
   MemHook mem_hook_ = nullptr;
   void* mem_ctx_ = nullptr;
+  Observer observer_ = nullptr;
+  void* observer_ctx_ = nullptr;
+  Counters counters_;
 };
 
 }  // namespace scio

@@ -27,13 +27,14 @@ class Simulator {
 
   SimTime now() const { return now_; }
 
-  // Schedule a callback at an absolute time (>= now).
-  EventHandle ScheduleAt(SimTime when, EventQueue::Callback cb) {
+  // Schedule a callback at an absolute time (>= now). Callbacks travel by
+  // rvalue reference down to the queue, which moves them once into a node.
+  EventHandle ScheduleAt(SimTime when, EventQueue::Callback&& cb) {
     return queue_.Schedule(when < now_ ? now_ : when, std::move(cb));
   }
 
   // Schedule a callback `delay` from now.
-  EventHandle ScheduleAfter(SimDuration delay, EventQueue::Callback cb) {
+  EventHandle ScheduleAfter(SimDuration delay, EventQueue::Callback&& cb) {
     return ScheduleAt(now_ + (delay < 0 ? 0 : delay), std::move(cb));
   }
 

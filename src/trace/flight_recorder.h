@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "src/metrics/table.h"
+#include "src/sim/event_queue.h"
 #include "src/sim/time.h"
 
 namespace scio {
@@ -97,6 +98,17 @@ class FlightRecorder {
 
   void Clear();
 
+  // Optional engine-op tap (borrowed context). SimKernel::set_recorder
+  // installs it as the kernel's event-queue observer, so a recorded run can
+  // also yield the engine's op stream (bench_micro_engine replays one fig15
+  // leg from it). Like the ring, it only observes.
+  void set_engine_observer(EventQueue::Observer observer, void* ctx) {
+    engine_observer_ = observer;
+    engine_observer_ctx_ = ctx;
+  }
+  EventQueue::Observer engine_observer() const { return engine_observer_; }
+  void* engine_observer_ctx() const { return engine_observer_ctx_; }
+
  private:
   struct PhaseMark {
     const char* name;
@@ -108,6 +120,8 @@ class FlightRecorder {
   size_t count_ = 0;
   uint64_t total_recorded_ = 0;
   std::vector<PhaseMark> phases_;
+  EventQueue::Observer engine_observer_ = nullptr;
+  void* engine_observer_ctx_ = nullptr;
 };
 
 }  // namespace scio

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <utility>
@@ -90,11 +91,18 @@ TEST(EventQueueTest, CallbackMaySchedule) {
 
 TEST(EventQueueTest, SameTimeFifoAcrossWheelLevels) {
   // The far event lands on a high wheel level at schedule time; the near one
-  // is scheduled for the same tick from one tick before it (level 0). The
-  // far event carries the lower sequence number, so it must still fire
-  // first after cascading down. Targets cover wheel levels 1 through 4.
-  for (const SimTime target : {SimTime{70}, SimTime{5000}, SimTime{300'000},
-                               SimTime{20'000'000}}) {
+  // is scheduled for the same time from 1 ns before it. The far event carries
+  // the lower sequence number, so it must still fire first after cascading
+  // down. The first four targets were levels 1-4 of the old nanosecond
+  // wheel; each now shares a tick with its 1 ns predecessor, so the late
+  // schedule is inserted into the far event's due run. Then one target
+  // 3·64^l ticks out for every level l of the current wheel, the top one
+  // included, whose predecessor sits in the tick before.
+  std::vector<SimTime> targets = {70, 5000, 300'000, 20'000'000};
+  for (int shift = EventQueue::kTickBits; shift < 63; shift += 6) {
+    targets.push_back(SimTime{3} << shift);
+  }
+  for (const SimTime target : targets) {
     EventQueue queue;
     std::vector<int> order;
     queue.Schedule(target, [&] { order.push_back(1); });
@@ -231,6 +239,224 @@ TEST(EventQueueTest, MatchesReferenceModelUnderSeededChurn) {
     EXPECT_FALSE(queue.RunNext());
     EXPECT_TRUE(queue.empty());
   }
+}
+
+// Differential test under the wheel's own geometry: a seeded mix of
+// schedules clustered inside one tick and spread over every level, follow-up
+// schedules made from inside a firing callback into the current due run
+// (before and after the firing event's time), cancels of due-run entries,
+// schedules for an earlier tick than an already-resolved NextTime (the
+// origin rollback), random cancels and fires. The queue must fire exactly
+// the (time, seq)-minimum live event of an ordered-map model, and NextTime()
+// must report its time.
+class WheelModelHarness {
+ public:
+  explicit WheelModelHarness(uint64_t seed) : rng_(seed) {}
+
+  void Run(int steps) {
+    for (int step = 0; step < steps; ++step) {
+      const double roll = rng_.NextDouble();
+      if (roll < 0.25) {
+        ScheduleClustered();
+      } else if (roll < 0.37) {
+        ScheduleSpread();
+      } else if (roll < 0.45) {
+        ScheduleBeforeResolvedTick();
+      } else if (roll < 0.53) {
+        CancelDueRunEntry();
+      } else if (roll < 0.60) {
+        CancelAny();
+      } else {
+        Fire();
+      }
+      ASSERT_EQ(queue_.size(), model_.size()) << "live-count drift at step " << step;
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
+    }
+    while (!model_.empty()) {
+      Fire();
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
+    }
+    EXPECT_FALSE(queue_.RunNext());
+    EXPECT_TRUE(queue_.empty());
+  }
+
+  uint64_t fires() const { return fires_; }
+  uint64_t chained() const { return chained_; }
+  uint64_t due_cancels() const { return due_cancels_; }
+  uint64_t rollbacks() const { return rollbacks_; }
+
+ private:
+  using Key = std::pair<SimTime, uint64_t>;  // (when, seq)
+  static constexpr SimTime kTick = EventQueue::kTickNs;
+  static constexpr SimTime kHorizon = SimTime{1} << 61;
+
+  static SimTime TickStart(SimTime t) { return t - t % kTick; }
+
+  void Schedule(SimTime when) {
+    when = std::min(when, kHorizon);
+    const uint64_t id = next_id_++;
+    const Key key{when, next_seq_++};
+    const bool chains = rng_.Bernoulli(0.3);
+    EventHandle handle = queue_.Schedule(when, [this, id, key, chains] {
+      fired_ = id;
+      if (chains) {
+        // Into the current due run: anywhere in this event's own tick, even
+        // before the event that is firing now.
+        ++chained_;
+        Schedule(TickStart(key.first) + rng_.UniformInt(0, kTick - 1));
+      }
+    });
+    model_.emplace(key, id);
+    handles_.emplace_back(handle, key);
+  }
+
+  // A time in the tick of the last fired event or one of the next two.
+  void ScheduleClustered() {
+    Schedule(TickStart(last_fired_) + rng_.UniformInt(0, 3 * kTick - 1));
+  }
+
+  // 2^b ns past the last fire for b in [0, 60]: every level of the wheel.
+  void ScheduleSpread() {
+    const int bits = static_cast<int>(rng_.UniformInt(0, 60));
+    Schedule(last_fired_ + (SimTime{1} << bits) + rng_.UniformInt(0, kTick));
+  }
+
+  // Resolve NextTime, then schedule into an earlier tick than the one it
+  // resolved, which rolls the wheel origin back.
+  void ScheduleBeforeResolvedTick() {
+    const SimTime next = queue_.NextTime();
+    if (next == kSimTimeNever || next < kTick) {
+      return;
+    }
+    const SimTime before = TickStart(next) - rng_.UniformInt(1, 3 * kTick);
+    ++rollbacks_;
+    Schedule(std::max<SimTime>(0, before));
+  }
+
+  // Resolve NextTime (which forms the due run) and cancel an event in its
+  // tick, the head included.
+  void CancelDueRunEntry() {
+    const SimTime next = queue_.NextTime();
+    if (next == kSimTimeNever) {
+      return;
+    }
+    std::vector<Key> run;
+    for (auto it = model_.begin(); it != model_.end() && TickStart(it->first.first) ==
+                                                              TickStart(next);
+         ++it) {
+      run.push_back(it->first);
+    }
+    ASSERT_FALSE(run.empty());
+    const Key victim = run[static_cast<size_t>(
+        rng_.UniformInt(0, static_cast<int64_t>(run.size()) - 1))];
+    for (auto& [handle, key] : handles_) {
+      if (key == victim) {
+        handle.Cancel();
+      }
+    }
+    model_.erase(victim);
+    ++due_cancels_;
+  }
+
+  void CancelAny() {
+    if (handles_.empty()) {
+      return;
+    }
+    const size_t pick = static_cast<size_t>(
+        rng_.UniformInt(0, static_cast<int64_t>(handles_.size()) - 1));
+    handles_[pick].first.Cancel();       // no-op if already fired/cancelled
+    model_.erase(handles_[pick].second);  // ditto
+  }
+
+  void Fire() {
+    if (model_.empty()) {
+      EXPECT_EQ(queue_.NextTime(), kSimTimeNever);
+      return;
+    }
+    const auto [key, expected] = *model_.begin();
+    ASSERT_EQ(queue_.NextTime(), key.first) << "fire " << fires_;
+    model_.erase(model_.begin());  // before the callback adds its follow-up
+    fired_ = UINT64_MAX;
+    ASSERT_TRUE(queue_.RunNext());
+    ASSERT_EQ(fired_, expected) << "wrong event fired at fire " << fires_;
+    last_fired_ = key.first;
+    ++fires_;
+  }
+
+  EventQueue queue_;
+  Rng rng_;
+  std::map<Key, uint64_t> model_;
+  std::vector<std::pair<EventHandle, Key>> handles_;
+  uint64_t next_id_ = 0;
+  uint64_t next_seq_ = 0;
+  uint64_t fired_ = UINT64_MAX;
+  SimTime last_fired_ = 0;
+  uint64_t fires_ = 0;
+  uint64_t chained_ = 0;
+  uint64_t due_cancels_ = 0;
+  uint64_t rollbacks_ = 0;
+};
+
+TEST(EventQueueTest, MatchesReferenceModelAcrossTickGeometry) {
+  for (const uint64_t seed : {1ull, 42ull, 20261019ull}) {
+    SCOPED_TRACE(seed);
+    WheelModelHarness harness(seed);
+    harness.Run(20000);
+    if (HasFatalFailure()) {
+      return;
+    }
+    // Every path the test is named for actually ran.
+    EXPECT_GT(harness.fires(), 5000u);
+    EXPECT_GT(harness.chained(), 1000u);
+    EXPECT_GT(harness.due_cancels(), 500u);
+    EXPECT_GT(harness.rollbacks(), 500u);
+  }
+}
+
+TEST(EventQueueTest, ObserverSeesEveryOpInCallOrder) {
+  using Op = EventQueue::Op;
+  struct Seen {
+    Op op;
+    SimTime when;
+    uint64_t seq;
+    bool operator==(const Seen&) const = default;
+  };
+  std::vector<Seen> seen;
+  EventQueue queue;
+  queue.set_observer(
+      [](void* ctx, Op op, SimTime when, uint64_t seq) {
+        static_cast<std::vector<Seen>*>(ctx)->push_back({op, when, seq});
+      },
+      &seen);
+  EventHandle first = queue.Schedule(10, [] {});
+  queue.Schedule(20'000, [] {});
+  first.Cancel();
+  first.Cancel();  // no effect, so not observed
+  EXPECT_EQ(queue.NextTime(), 20'000);
+  EXPECT_TRUE(queue.RunNext());
+  EXPECT_FALSE(queue.RunNext());
+  EXPECT_EQ(seen, (std::vector<Seen>{{Op::kSchedule, 10, 0},
+                                     {Op::kSchedule, 20'000, 1},
+                                     {Op::kCancel, 10, 0},
+                                     {Op::kNextTime, 0, 0},
+                                     {Op::kRunNext, 20'000, 1}}));
+}
+
+TEST(EventQueueTest, CountersTrackWheelWork) {
+  EventQueue queue;
+  queue.Schedule(100, [] {});                            // the origin's tick: due run
+  queue.Schedule(EventQueue::kTickNs * 10, [] {});       // level 0: one route
+  queue.Schedule(EventQueue::kTickNs * 64 * 10, [] {});  // level 1, then level 0
+  while (queue.RunNext()) {
+  }
+  EXPECT_EQ(queue.counters().routes, 3u);
+  // One search finds the level-0 event; one finds the level-1 slot, whose
+  // cascade leaves the event alone in level 0 for a third.
+  EXPECT_EQ(queue.counters().slot_searches, 3u);
 }
 
 TEST(SimulatorTest, AdvanceToRunsDueEventsAndSetsClock) {

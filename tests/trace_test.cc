@@ -229,8 +229,15 @@ TEST(AttributionPropertyTest, SameSeedYieldsIdenticalPerCategoryTimes) {
 }
 
 // Inline runs with faults, and 2-worker pools of every kind in every
-// listener mode: the recorder sees each run and perturbs none of them.
+// listener mode: the recorder, with an engine-op tap on the event queue,
+// sees each run and perturbs none of them.
 TEST(AttributionPropertyTest, AttachedRecorderDoesNotPerturbTheRun) {
+  struct OpCounts {
+    uint64_t ops[4] = {};
+  };
+  const EventQueue::Observer count_ops = [](void* ctx, EventQueue::Op op, SimTime, uint64_t) {
+    ++static_cast<OpCounts*>(ctx)->ops[static_cast<int>(op)];
+  };
   std::vector<BenchmarkRunConfig> configs = {
       SmallRun(ServerKind::kThttpdPoll, 5, /*faults=*/true),
       SmallRun(ServerKind::kHybrid, 5, /*faults=*/true)};
@@ -252,8 +259,13 @@ TEST(AttributionPropertyTest, AttachedRecorderDoesNotPerturbTheRun) {
                  " " + ListenerModeName(config.mode));
     const BenchmarkResult bare = RunBenchmark(config);
     FlightRecorder recorder;
+    OpCounts counts;
+    recorder.set_engine_observer(count_ops, &counts);
     config.recorder = &recorder;
     const BenchmarkResult traced = RunBenchmark(config);
+    for (const uint64_t n : counts.ops) {
+      EXPECT_GT(n, 0u) << "the engine tap saw every kind of engine op";
+    }
     ASSERT_TRUE(bare.setup_ok);
     EXPECT_EQ(bare.signature, traced.signature);
     EXPECT_TRUE(bare.attribution == traced.attribution);
