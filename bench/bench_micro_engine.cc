@@ -10,9 +10,11 @@
 //       op stream of one fig15 leg — and writes BENCH_engine.json (schema:
 //       bench name -> {wall_ms, events_scheduled, allocs}, plus
 //       routes_per_schedule and slot_searches_per_fire on the replay row) so
-//       future changes can track the perf trajectory. Exits 1 if the replay
-//       fires in a different order than the recording; timings never fail
-//       it.
+//       future changes can track the perf trajectory. Exits 1 if the
+//       engine is out of (when, seq) order: the recorded leg's fires or the
+//       wheel's NextTime() answers against the same stream replayed into the
+//       heap baseline, or the wheel's replay against the recording. Timings
+//       never fail it.
 //
 //   ./bench_micro_engine --gbench [gbench flags...]
 //       Runs the google-benchmark suite: schedule/cancel/fire mixes at
@@ -76,7 +78,7 @@ class HeapQueue {
 
   SimTime NextTime() {
     SkipCancelled();
-    return queue_.empty() ? 0 : queue_.top().when;
+    return queue_.empty() ? scio::kSimTimeNever : queue_.top().when;
   }
 
  private:
@@ -203,8 +205,11 @@ uint64_t RunHeapChurn(size_t pending, uint64_t ops, uint64_t* sink) {
 // recorder's engine tap and replayed op by op against a fresh queue: the same
 // schedule times in the same order (so the same sequence numbers), the same
 // cancels, NextTime() probes and fires. Each replayed event stamps its
-// schedule index when it fires, so the replay also checks that the engine
-// fires in exactly the recorded order.
+// schedule index when it fires. The wheel replays the recording by
+// construction, so on its own that only checks the replay is faithful; the
+// order check is the same stream replayed into HeapQueue, whose fires are
+// the (when, seq) order the recorded run had to follow and whose NextTime()
+// answers are what the wheel's must be.
 
 class EngineOpLog {
  public:
@@ -230,14 +235,16 @@ class EngineOpLog {
     return fired == fired_;
   }
 
-  // Replays the stream into `queue`; fired[i] becomes the schedule index of
-  // the i-th event fired. `handles` must hold schedules() entries. Returns
-  // events scheduled.
-  uint64_t Replay(scio::EventQueue* queue, std::vector<scio::EventHandle>* handles,
-                  std::vector<uint32_t>* fired) const {
+  // Replays the stream into `queue` (an EventQueue or the HeapQueue
+  // baseline); fired[i] becomes the schedule index of the i-th event fired,
+  // and, if `probes` is given, every NextTime() answer is appended to it.
+  // `handles` must hold schedules() entries. Returns events scheduled.
+  template <typename Queue, typename Handle>
+  uint64_t Replay(Queue* queue, std::vector<Handle>* handles, std::vector<uint32_t>* fired,
+                  std::vector<SimTime>* probes = nullptr) const {
     size_t next_schedule = 0;
     size_t next_cancel = 0;
-    SimTime sink = 0;
+    uint64_t sink = 0;  // unsigned: an empty queue answers kSimTimeNever
     for (const Op op : ops_) {
       switch (op) {
         case Op::kSchedule:
@@ -247,11 +254,16 @@ class EngineOpLog {
           ++next_schedule;
           break;
         case Op::kCancel:
-          (*handles)[cancels_[next_cancel++]].Cancel();
+          Cancel((*handles)[cancels_[next_cancel++]]);
           break;
-        case Op::kNextTime:
-          sink += queue->NextTime();
+        case Op::kNextTime: {
+          const SimTime next = queue->NextTime();
+          sink += static_cast<uint64_t>(next);
+          if (probes != nullptr) {
+            probes->push_back(next);
+          }
           break;
+        }
         case Op::kRunNext:
           queue->RunNext();
           break;
@@ -267,6 +279,11 @@ class EngineOpLog {
     uint32_t index;
     void operator()() const { fired->push_back(index); }
   };
+
+  static void Cancel(scio::EventHandle& handle) { handle.Cancel(); }
+  static void Cancel(const std::shared_ptr<HeapQueue::State>& state) {
+    state->cancelled = true;
+  }
 
   void Append(Op op, SimTime when, uint64_t seq) {
     ops_.push_back(op);
@@ -409,12 +426,29 @@ int JsonMain(const char* out_path) {
     std::fprintf(stderr, "replay_fig15: recorded stream skips a sequence number\n");
     return 1;
   }
+  // The reference: the recorded stream through the (when, seq) heap, then
+  // once through the wheel to compare every NextTime() answer.
+  std::vector<uint32_t> fired;
+  fired.reserve(log.fires());
+  std::vector<SimTime> reference_probes;
+  {
+    HeapQueue reference;
+    std::vector<std::shared_ptr<HeapQueue::State>> states(log.schedules());
+    log.Replay(&reference, &states, &fired, &reference_probes);
+  }
+  const bool recorded_in_order = log.FiredInRecordedOrder(fired);
+  std::vector<SimTime> probes;
+  {
+    scio::EventQueue queue;
+    std::vector<scio::EventHandle> handles(log.schedules());
+    fired.clear();
+    log.Replay(&queue, &handles, &fired, &probes);
+  }
+  const bool probes_agree = probes == reference_probes;
   // One leg replays in tens of milliseconds, so the row is the median of
   // several passes, each into a fresh queue.
   constexpr int kReplayPasses = 9;
   std::vector<scio::EventHandle> handles(log.schedules());
-  std::vector<uint32_t> fired;
-  fired.reserve(log.fires());
   bool replay_in_order = true;
   std::vector<TimedResult> passes;
   for (int pass = 0; pass < kReplayPasses; ++pass) {
@@ -471,12 +505,17 @@ int JsonMain(const char* out_path) {
               results[3].wall_ms / results[2].wall_ms);
   std::printf("(json written to %s)\n", out_path);
   (void)sink;
+  if (!recorded_in_order) {
+    std::fprintf(stderr, "replay_fig15: the recorded leg fired out of (when, seq) order\n");
+  }
+  if (!probes_agree) {
+    std::fprintf(stderr, "replay_fig15: a NextTime() answer differs from the reference's\n");
+  }
   if (!replay_in_order) {
     std::fprintf(stderr, "replay_fig15: the replay fired in a different order than the "
                          "recorded leg\n");
-    return 1;
   }
-  return 0;
+  return recorded_in_order && probes_agree && replay_in_order ? 0 : 1;
 }
 
 }  // namespace

@@ -86,7 +86,7 @@ uint32_t EventQueue::DetachSlot(int level, int index) {
 void EventQueue::Route(uint32_t idx) {
   const uint64_t tick = Tick(node(idx).when);
   const uint64_t cur = current_tick_;
-  assert(tick >= cur && "live events never precede the wheel origin");
+  assert(tick >= cur && "wheel nodes never precede the wheel origin");
   const uint64_t delta = tick - cur;
   int level = delta == 0 ? 0 : (63 - std::countl_zero(delta)) / kLevelBits;
   // A level's 64 slots only disambiguate ticks within one rotation of the
@@ -120,24 +120,6 @@ void EventQueue::InsertDue(uint32_t idx) {
   }
 }
 
-void EventQueue::RollBack(uint64_t tick) {
-  // The origin overshot: NextTime resolves the next tick eagerly, and the
-  // clock owner may sit before it. Every wheel node lies after the due run,
-  // so after the move only the run itself needs re-routing.
-  current_tick_ = tick;
-  for (size_t i = due_pos_; i < due_.size(); ++i) {
-    const uint32_t idx = due_[i];
-    if (node(idx).cancelled) {
-      FreeNode(idx);  // live_count_ already dropped at Cancel time
-    } else {
-      Route(idx);
-    }
-  }
-  due_.clear();
-  due_pos_ = 0;
-  head_when_ = kNoHead;
-}
-
 // sciolint: hotpath
 EventHandle EventQueue::Schedule(SimTime when, Callback&& cb) {
   if (when < 0) {
@@ -152,13 +134,11 @@ EventHandle EventQueue::Schedule(SimTime when, Callback&& cb) {
   if (observer_ != nullptr) {
     observer_(observer_ctx_, Op::kSchedule, when, n.seq);
   }
-  const uint64_t tick = Tick(when);
-  if (tick > current_tick_) {
+  // Every wheel node lies after the origin's tick, so an event at or before
+  // it joins the due run, in order, and the origin never moves back.
+  if (Tick(when) > current_tick_) {
     Route(idx);
   } else {
-    if (tick < current_tick_) {
-      RollBack(tick);
-    }
     InsertDue(idx);
   }
   ++live_count_;
@@ -201,28 +181,25 @@ void EventQueue::CollectDue() {
     Node& n = node(it);
     if (n.cancelled) {
       FreeNode(it);  // live_count_ already dropped at Cancel time
-    } else if (Tick(n.when) == current_tick_) {
-      n.state = NodeState::kInDue;
-      sort_keys_.push_back({n.when, n.seq, it});
     } else {
-      // Residue collision (possible after an origin rollback): send the node
-      // to its true position so the slot no longer misleads the search.
-      Route(it);
+      // The origin never moves back, so a level-0 slot only ever holds the
+      // one tick it stands for.
+      assert(Tick(n.when) == current_tick_);
+      n.state = NodeState::kInDue;
+      due_.push_back(it);
     }
     it = next;
   }
   // Events fire in (when, seq) order no matter which wheel level they
   // arrived from — this sort is what makes the wheel replay-identical to the
   // old (time, seq) priority queue.
-  if (sort_keys_.size() > 1) {
-    std::sort(sort_keys_.begin(), sort_keys_.end(), [](const SortKey& x, const SortKey& y) {
+  if (due_.size() > 1) {
+    std::sort(due_.begin(), due_.end(), [this](uint32_t a, uint32_t b) {
+      const Node& x = node(a);
+      const Node& y = node(b);
       return x.when != y.when ? x.when < y.when : x.seq < y.seq;
     });
   }
-  for (const SortKey& key : sort_keys_) {
-    due_.push_back(key.idx);
-  }
-  sort_keys_.clear();
 }
 
 bool EventQueue::FindNextSlot(int* level, int* index, uint64_t* lower_bound) {
@@ -315,8 +292,8 @@ SimTime EventQueue::Resolve() {
         head_when_ = node(due_.front()).when;
         return head_when_;
       }
-      // The slot only held cancelled or residue-colliding future nodes; they
-      // have been reaped or re-routed, so the search now makes progress.
+      // The slot only held cancelled nodes; they have been reaped, so the
+      // search now makes progress.
     } else {
       Cascade(level, index);
     }

@@ -28,10 +28,11 @@
 //   - When the earliest slot reaches level 0 it is drained into the due
 //     run: that tick's events sorted by (time, sequence), which restores
 //     global FIFO order for same-time events even when some of them cascaded
-//     down from far levels. A Schedule for the due run's own tick (a packet
-//     sent from inside a callback, a wakeup) is inserted into the run in
-//     order; one for an earlier tick rolls the wheel origin back and flushes
-//     the run into the wheel.
+//     down from far levels. A Schedule at or before the run's tick (a packet
+//     sent from inside a callback, a wakeup, or an event earlier than the
+//     tick NextTime() already resolved) is inserted into the run in order.
+//     Every wheel node lies after the run, so that is its exact place, and
+//     the wheel origin only ever moves forward.
 //   - Slot lists are singly linked and push-front: scheduling touches only
 //     the new node and the slot-head array, never another (cold) node. The
 //     resulting arbitrary intra-slot order is harmless because the due-run
@@ -235,12 +236,8 @@ class EventQueue {
   // (when, seq).
   void CollectDue();
 
-  // Insert a node of tick current_tick_ into the due run, in order.
+  // Insert a node of tick <= current_tick_ into the due run, in order.
   void InsertDue(uint32_t idx);
-
-  // Move the wheel origin back to `tick` (earlier than current_tick_) and
-  // route the unfired due run back into the wheel.
-  void RollBack(uint64_t tick);
 
   // NextTime()'s slow path: reap a cancelled due-run head, or drain the next
   // slot once the run is exhausted. Sets head_when_ unless the queue is empty.
@@ -257,24 +254,16 @@ class EventQueue {
   uint32_t slot_head_[kLevels * kSlotsPerLevel];
   uint64_t occupied_[kLevels] = {};
 
-  // The due run: node indices of current_tick_'s events, sorted by
-  // (when, seq), consumed from due_pos_ by RunNext. Kept to 4-byte entries
-  // so an in-order insert into a long run shifts little. Persistent
-  // capacity. Invariant: no wheel slot holds a node of current_tick_
-  // outside Resolve.
+  // The due run: node indices of the events at or before current_tick_,
+  // sorted by (when, seq), consumed from due_pos_ by RunNext. Kept to 4-byte
+  // entries so an in-order insert into a long run shifts little. Persistent
+  // capacity. Invariant: outside Resolve every wheel node's tick is later
+  // than current_tick_.
   std::vector<uint32_t> due_;
   size_t due_pos_ = 0;
   SimTime head_when_ = kNoHead;  // when of the live due-run head, if known
-  // CollectDue's scratch: the drained slot with each node's sort key, so the
-  // sort never chases node indices through the slab.
-  struct SortKey {
-    SimTime when;
-    uint64_t seq;
-    uint32_t idx;
-  };
-  std::vector<SortKey> sort_keys_;
 
-  uint64_t current_tick_ = 0;  // wheel origin; <= every live event's tick
+  uint64_t current_tick_ = 0;  // wheel origin; never moves back
   uint64_t next_seq_ = 0;
   size_t live_count_ = 0;
   uint64_t executed_count_ = 0;

@@ -245,10 +245,10 @@ TEST(EventQueueTest, MatchesReferenceModelUnderSeededChurn) {
 // schedules clustered inside one tick and spread over every level, follow-up
 // schedules made from inside a firing callback into the current due run
 // (before and after the firing event's time), cancels of due-run entries,
-// schedules for an earlier tick than an already-resolved NextTime (the
-// origin rollback), random cancels and fires. The queue must fire exactly
-// the (time, seq)-minimum live event of an ordered-map model, and NextTime()
-// must report its time.
+// schedules for an earlier tick than an already-resolved NextTime (they
+// join the due run ahead of the wheel origin), random cancels and fires. The
+// queue must fire exactly the (time, seq)-minimum live event of an
+// ordered-map model, and NextTime() must report its time.
 class WheelModelHarness {
  public:
   explicit WheelModelHarness(uint64_t seed) : rng_(seed) {}
@@ -287,7 +287,7 @@ class WheelModelHarness {
   uint64_t fires() const { return fires_; }
   uint64_t chained() const { return chained_; }
   uint64_t due_cancels() const { return due_cancels_; }
-  uint64_t rollbacks() const { return rollbacks_; }
+  uint64_t earlier_ticks() const { return earlier_ticks_; }
 
  private:
   using Key = std::pair<SimTime, uint64_t>;  // (when, seq)
@@ -326,14 +326,14 @@ class WheelModelHarness {
   }
 
   // Resolve NextTime, then schedule into an earlier tick than the one it
-  // resolved, which rolls the wheel origin back.
+  // resolved, behind the wheel origin.
   void ScheduleBeforeResolvedTick() {
     const SimTime next = queue_.NextTime();
     if (next == kSimTimeNever || next < kTick) {
       return;
     }
     const SimTime before = TickStart(next) - rng_.UniformInt(1, 3 * kTick);
-    ++rollbacks_;
+    ++earlier_ticks_;
     Schedule(std::max<SimTime>(0, before));
   }
 
@@ -398,7 +398,7 @@ class WheelModelHarness {
   uint64_t fires_ = 0;
   uint64_t chained_ = 0;
   uint64_t due_cancels_ = 0;
-  uint64_t rollbacks_ = 0;
+  uint64_t earlier_ticks_ = 0;
 };
 
 TEST(EventQueueTest, MatchesReferenceModelAcrossTickGeometry) {
@@ -413,7 +413,7 @@ TEST(EventQueueTest, MatchesReferenceModelAcrossTickGeometry) {
     EXPECT_GT(harness.fires(), 5000u);
     EXPECT_GT(harness.chained(), 1000u);
     EXPECT_GT(harness.due_cancels(), 500u);
-    EXPECT_GT(harness.rollbacks(), 500u);
+    EXPECT_GT(harness.earlier_ticks(), 500u);
   }
 }
 
