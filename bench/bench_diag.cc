@@ -54,10 +54,6 @@ int main(int argc, char** argv) {
 
   FlightRecorder recorder;
   if (!trace_path.empty()) {
-    if (!kFlightRecorderCompiledIn) {
-      std::cerr << "--trace: built with SCIO_DISABLE_TRACE; no events will be "
-                   "recorded\n";
-    }
     config.recorder = &recorder;
   }
 

@@ -1,36 +1,31 @@
-// MICRO-3: event-engine microbenchmarks — the pooled timer-wheel scheduler
-// versus the priority-queue-of-allocations engine it replaced.
+// MICRO-4: the event engine on the simulator's own traffic.
 //
-// Two modes:
+//   ./bench_micro_engine [out.json]   (default BENCH_engine.json; used by CI)
 //
-//   ./bench_micro_engine [out.json]   (default; used by CI)
-//       Runs a fixed, deterministic set of timed workloads — schedule/fire
-//       steady state and schedule/cancel/fire churn for both engines, a
-//       quick end-to-end figure sweep, and replay_fig15, the recorded engine
-//       op stream of one fig15 leg — and writes BENCH_engine.json (schema:
-//       bench name -> {wall_ms, events_scheduled, allocs}, plus
-//       routes_per_schedule and slot_searches_per_fire on the replay row) so
-//       future changes can track the perf trajectory. Exits 1 if the
-//       engine is out of (when, seq) order: the recorded leg's fires or the
-//       wheel's NextTime() answers against the same stream replayed into the
-//       heap baseline, or the wheel's replay against the recording. Timings
-//       never fail it.
+// Records the engine op stream of five simulator legs through the flight
+// recorder's engine tap and replays each stream, op by op, into a fresh
+// timer-wheel EventQueue and into HeapQueue, the priority-queue-of-
+// allocations engine the wheel replaced. Each leg is one replay_<leg> row of
+// the JSON: the wheel's median wall_ms with its routes per schedule, slot
+// searches per fire and allocations; heap_wall_ms, the heap's median on the
+// same stream; and allocs_per_conn, the heap allocations per connection of
+// one unrecorded run of the leg's config.
 //
-//   ./bench_micro_engine --gbench [gbench flags...]
-//       Runs the google-benchmark suite: schedule/cancel/fire mixes at
-//       1e3..1e6 pending events, with and without cancellation churn.
+// The legs are picked by the engine paths they reach. fig15 is the common
+// case. The others reach the due-run paths fig15 never does:
+// transport_loss1 peeks at a cancelled entry after a fire and drains slots
+// whose same-time events are out of seq order, torture_pkt_loss drains
+// hundreds of such slots, and the two pools cancel a cached due-run head,
+// which smp_1cpu's next probe reads.
 //
-// The legacy engine is reproduced locally (a std::priority_queue of entries
-// carrying a std::function plus a shared_ptr cancellation block — exactly
-// the allocation behaviour src/sim had before the wheel) so the comparison
-// stays honest as the real engine evolves.
-
-#include <benchmark/benchmark.h>
+// Exits 1 if any leg is out of (when, seq) order: its recorded fires or the
+// wheel's NextTime() answers against the same stream replayed into
+// HeapQueue, or the wheel's replay against the recording. Timings never
+// fail it.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -46,7 +41,11 @@ namespace {
 
 using scio::SimTime;
 
-// --- the legacy engine, reproduced as the baseline ---------------------------
+// --- the legacy engine: the order reference and the baseline ----------------
+//
+// A std::priority_queue of entries carrying a std::function plus a
+// shared_ptr cancellation block, exactly the allocation behaviour src/sim
+// had before the wheel.
 
 class HeapQueue {
  public:
@@ -69,11 +68,6 @@ class HeapQueue {
     queue_.pop();
     entry.cb();
     return true;
-  }
-
-  bool empty() {
-    SkipCancelled();
-    return queue_.empty();
   }
 
   SimTime NextTime() {
@@ -102,114 +96,19 @@ class HeapQueue {
   uint64_t next_seq_ = 0;
 };
 
-// --- deterministic workloads -------------------------------------------------
-
-uint64_t XorShift(uint64_t* s) {
-  uint64_t x = *s;
-  x ^= x << 13;
-  x ^= x >> 7;
-  x ^= x << 17;
-  return *s = x;
-}
-
-// A callback shaped like the real hot path: captures a pointer and an index.
-struct Payload {
-  uint64_t* sink;
-  uint64_t value;
-  void operator()() const { *sink += value; }
-};
-
-// Steady state: keep `pending` events in flight; each op schedules a
-// replacement a pseudo-random offset ahead, then fires the earliest. The
-// clock follows the queue (now = next event time), exactly as the
-// Simulator's StepUntil drives it. Returns events scheduled.
-template <typename ScheduleFn, typename NextFn, typename FireFn>
-uint64_t SteadyMix(size_t pending, uint64_t ops, uint64_t* sink,
-                   ScheduleFn schedule, NextFn next, FireFn fire) {
-  uint64_t rng = 0x9e3779b97f4a7c15ULL;
-  uint64_t scheduled = 0;
-  for (size_t i = 0; i < pending; ++i) {
-    schedule(static_cast<SimTime>(XorShift(&rng) % 1'000'000),
-             Payload{sink, ++scheduled});
-  }
-  for (uint64_t i = 0; i < ops; ++i) {
-    const SimTime now = next();
-    schedule(now + static_cast<SimTime>(XorShift(&rng) % 1'000'000),
-             Payload{sink, ++scheduled});
-    fire();
-  }
-  return scheduled;
-}
-
-// Churn: schedule two, cancel one, fire one — cancellation-heavy traffic like
-// client timeout timers that almost never expire.
-template <typename ScheduleFn, typename NextFn, typename CancelFn, typename FireFn>
-uint64_t ChurnMix(size_t pending, uint64_t ops, uint64_t* sink,
-                  ScheduleFn schedule, NextFn next, CancelFn cancel, FireFn fire) {
-  uint64_t rng = 0x2545f4914f6cdd1dULL;
-  uint64_t scheduled = 0;
-  for (size_t i = 0; i < pending; ++i) {
-    schedule(static_cast<SimTime>(XorShift(&rng) % 1'000'000),
-             Payload{sink, ++scheduled});
-  }
-  for (uint64_t i = 0; i < ops; ++i) {
-    const SimTime now = next();
-    schedule(now + static_cast<SimTime>(XorShift(&rng) % 1'000'000),
-             Payload{sink, ++scheduled});
-    auto doomed = schedule(now + static_cast<SimTime>(XorShift(&rng) % 500'000),
-                           Payload{sink, ++scheduled});
-    cancel(doomed);
-    fire();
-  }
-  return scheduled;
-}
-
-uint64_t RunWheelSteady(size_t pending, uint64_t ops, uint64_t* sink) {
-  scio::EventQueue q;
-  return SteadyMix(
-      pending, ops, sink,
-      [&](SimTime when, Payload p) { return q.Schedule(when, p); },
-      [&] { return q.NextTime(); }, [&] { q.RunNext(); });
-}
-
-uint64_t RunHeapSteady(size_t pending, uint64_t ops, uint64_t* sink) {
-  HeapQueue q;
-  return SteadyMix(
-      pending, ops, sink,
-      [&](SimTime when, Payload p) { return q.Schedule(when, p); },
-      [&] { return q.NextTime(); }, [&] { q.RunNext(); });
-}
-
-uint64_t RunWheelChurn(size_t pending, uint64_t ops, uint64_t* sink) {
-  scio::EventQueue q;
-  return ChurnMix(
-      pending, ops, sink,
-      [&](SimTime when, Payload p) { return q.Schedule(when, p); },
-      [&] { return q.NextTime(); },
-      [](scio::EventHandle h) { h.Cancel(); }, [&] { q.RunNext(); });
-}
-
-uint64_t RunHeapChurn(size_t pending, uint64_t ops, uint64_t* sink) {
-  HeapQueue q;
-  return ChurnMix(
-      pending, ops, sink,
-      [&](SimTime when, Payload p) { return q.Schedule(when, p); },
-      [&] { return q.NextTime(); },
-      [](const std::shared_ptr<HeapQueue::State>& s) { s->cancelled = true; },
-      [&] { q.RunNext(); });
-}
-
-// --- fig15 replay ---------------------------------------------------------------
+// --- recorded legs -----------------------------------------------------------
 //
-// The engine op stream of one real fig15 leg, recorded through the flight
-// recorder's engine tap and replayed op by op against a fresh queue: the same
-// schedule times in the same order (so the same sequence numbers), the same
-// cancels, NextTime() probes and fires. Each replayed event stamps its
-// schedule index when it fires. The wheel replays the recording by
-// construction, so on its own that only checks the replay is faithful; the
-// order check is the same stream replayed into HeapQueue, whose fires are
-// the (when, seq) order the recorded run had to follow and whose NextTime()
-// answers are what the wheel's must be.
+// The engine op stream of one simulator run, replayed op by op against a
+// fresh queue: the same schedule times in the same order (so the same
+// sequence numbers), the same cancels, NextTime() probes and fires. Each
+// replayed event stamps its schedule index when it fires. The wheel replays
+// the recording by construction, so on its own that only checks the replay
+// is faithful; the order check is the same stream replayed into HeapQueue,
+// whose fires are the (when, seq) order the recorded run had to follow and
+// whose NextTime() answers are what the wheel's must be.
+
+// Every NextTime() answer is summed into it, so no probe is optimised away.
+volatile uint64_t g_probe_sink = 0;
 
 class EngineOpLog {
  public:
@@ -238,10 +137,10 @@ class EngineOpLog {
   // Replays the stream into `queue` (an EventQueue or the HeapQueue
   // baseline); fired[i] becomes the schedule index of the i-th event fired,
   // and, if `probes` is given, every NextTime() answer is appended to it.
-  // `handles` must hold schedules() entries. Returns events scheduled.
+  // `handles` must hold schedules() entries.
   template <typename Queue, typename Handle>
-  uint64_t Replay(Queue* queue, std::vector<Handle>* handles, std::vector<uint32_t>* fired,
-                  std::vector<SimTime>* probes = nullptr) const {
+  void Replay(Queue* queue, std::vector<Handle>* handles, std::vector<uint32_t>* fired,
+              std::vector<SimTime>* probes = nullptr) const {
     size_t next_schedule = 0;
     size_t next_cancel = 0;
     uint64_t sink = 0;  // unsigned: an empty queue answers kSimTimeNever
@@ -269,8 +168,7 @@ class EngineOpLog {
           break;
       }
     }
-    benchmark::DoNotOptimize(sink);
-    return next_schedule;
+    g_probe_sink = sink;
   }
 
  private:
@@ -324,108 +222,115 @@ scio::BenchmarkRunConfig Fig15Leg() {
   return config;
 }
 
-// --- google-benchmark suite --------------------------------------------------
-
-void BM_WheelScheduleFire(benchmark::State& state) {
-  const auto pending = static_cast<size_t>(state.range(0));
-  uint64_t sink = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunWheelSteady(pending, pending, &sink));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(pending) * 2);
+// simbench transport_lossy's thttpd-epoll-ET / BBR / loss1 leg at its
+// default seed: the TCP transport plane under 1% loss both ways.
+scio::BenchmarkRunConfig TransportLoss1Leg() {
+  scio::BenchmarkRunConfig config;
+  config.server = scio::ServerKind::kThttpdEpollEt;
+  config.active.request_rate = 300;
+  config.active.duration = scio::Seconds(8);
+  config.active.seed = 17;
+  config.active.max_retries = 3;
+  config.inactive.connections = 50;
+  config.inactive.seed = 2;
+  config.transport_enabled = true;
+  config.transport.default_cc = scio::CcKind::kBbr;
+  config.transport.seed = 5 + static_cast<uint64_t>(scio::CcKind::kBbr);
+  config.faults.seed = 211;
+  config.faults.Add({scio::FaultKind::kPacketLoss, 0, scio::kSimTimeNever, 0.01,
+                     static_cast<double>(scio::Millis(150)), scio::LinkDir::kBoth});
+  return config;
 }
-BENCHMARK(BM_WheelScheduleFire)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
 
-void BM_HeapScheduleFire(benchmark::State& state) {
-  const auto pending = static_cast<size_t>(state.range(0));
-  uint64_t sink = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunHeapSteady(pending, pending, &sink));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(pending) * 2);
+// simbench smp_4cpu's sharded thttpd-devpoll leg at its default seed: four
+// workers on four CPUs under 4500 conn/s.
+scio::BenchmarkRunConfig SmpShardedLeg() {
+  scio::BenchmarkRunConfig config;
+  config.server = scio::ServerKind::kThttpdDevPoll;
+  config.mode = scio::ListenerMode::kSharded;
+  config.workers = 4;
+  config.cpus = 4;
+  config.seed = 1789;
+  config.active.seed = 17;
+  config.inactive.seed = 23;
+  config.warmup = scio::Millis(500);
+  config.drain = scio::Seconds(1);
+  config.active.request_rate = 4500;
+  config.active.duration = scio::Seconds(1);
+  config.active.poisson_arrivals = false;
+  config.inactive.connections = 501;
+  config.net.bandwidth_bps = 1e9;
+  return config;
 }
-BENCHMARK(BM_HeapScheduleFire)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
 
-void BM_WheelChurn(benchmark::State& state) {
-  const auto pending = static_cast<size_t>(state.range(0));
-  uint64_t sink = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunWheelChurn(pending, pending, &sink));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(pending) * 2);
+// The same pool on one worker and one CPU, which 4500 conn/s saturates: a
+// reply lands in the very tick its client's timeout was due, and the cancel
+// of that due-run head is read by the next probe.
+scio::BenchmarkRunConfig SmpOneCpuLeg() {
+  scio::BenchmarkRunConfig config = SmpShardedLeg();
+  config.workers = 1;
+  config.cpus = 1;
+  return config;
 }
-BENCHMARK(BM_WheelChurn)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
 
-void BM_HeapChurn(benchmark::State& state) {
-  const auto pending = static_cast<size_t>(state.range(0));
-  uint64_t sink = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunHeapChurn(pending, pending, &sink));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(pending) * 2);
+// bench_torture_recovery's pkt-loss schedule on thttpd-devpoll: 10% loss
+// both ways from 5 s to 8 s, clients retrying.
+scio::BenchmarkRunConfig TorturePktLossLeg() {
+  scio::BenchmarkRunConfig config;
+  config.server = scio::ServerKind::kThttpdDevPoll;
+  config.active.request_rate = 600;
+  config.active.duration = scio::Seconds(10);
+  config.active.seed = 11;
+  config.active.max_retries = 3;
+  config.inactive.connections = 50;
+  config.faults.seed = 101;
+  config.faults.Add({scio::FaultKind::kPacketLoss, scio::Seconds(5), scio::Seconds(8), 0.1,
+                     static_cast<double>(scio::Millis(150)), scio::LinkDir::kBoth});
+  return config;
 }
-BENCHMARK(BM_HeapChurn)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
 
-// --- JSON perf-trajectory mode -----------------------------------------------
+// --- rows --------------------------------------------------------------------
 
-struct TimedResult {
+struct Row {
   std::string name;
-  double wall_ms = 0;
+  double wall_ms = 0;       // wheel replay, median of kReplayPasses
+  double heap_wall_ms = 0;  // HeapQueue replay of the same stream, median
   uint64_t events_scheduled = 0;
-  uint64_t allocs = 0;
-  // Wheel work per event; replay rows only (negative: not reported).
-  double routes_per_schedule = -1;
-  double slot_searches_per_fire = -1;
+  uint64_t allocs = 0;      // wheel replay
+  double routes_per_schedule = 0;
+  double slot_searches_per_fire = 0;
+  double allocs_per_conn = 0;  // one unrecorded run of the leg's config
 };
 
+// One leg replays in milliseconds to tens of them, so each time is the
+// median of several passes, each into a fresh queue.
+constexpr int kReplayPasses = 9;
+
 template <typename Fn>
-TimedResult Timed(const std::string& name, Fn fn) {
-  TimedResult r;
-  r.name = name;
-  const uint64_t allocs_before = scio::HeapAllocCount();
+double WallMs(Fn fn) {
   const auto start = std::chrono::steady_clock::now();
-  r.events_scheduled = fn();
+  fn();
   const auto end = std::chrono::steady_clock::now();
-  r.allocs = scio::HeapAllocCount() - allocs_before;
-  r.wall_ms = std::chrono::duration<double, std::milli>(end - start).count();
-  return r;
+  return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
-uint64_t RunQuickFigureSweep() {
-  // A miniature fig04-shaped run: enough simulated traffic to exercise the
-  // whole stack, small enough to keep the CI timing step fast.
-  scio::BenchmarkRunConfig config;
-  config.server = scio::ServerKind::kThttpdPoll;
-  config.active.request_rate = 700.0;
-  config.active.duration = scio::Seconds(4);
-  config.inactive.connections = 64;
-  uint64_t events = 0;
-  const scio::BenchmarkResult result = scio::RunBenchmark(config);
-  events += result.attempts + result.successes;
-  return events;
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
-int JsonMain(const char* out_path) {
-  constexpr size_t kPending = 1 << 17;  // ~131k pending events
-  constexpr uint64_t kOps = 1 << 21;    // ~2.1M schedule/fire pairs
-  uint64_t sink = 0;
-
-  std::vector<TimedResult> results;
-  results.push_back(Timed("wheel_schedule_fire",
-                          [&] { return RunWheelSteady(kPending, kOps, &sink); }));
-  results.push_back(Timed("heap_schedule_fire",
-                          [&] { return RunHeapSteady(kPending, kOps, &sink); }));
-  results.push_back(Timed("wheel_churn_cancel",
-                          [&] { return RunWheelChurn(kPending, kOps / 2, &sink); }));
-  results.push_back(Timed("heap_churn_cancel",
-                          [&] { return RunHeapChurn(kPending, kOps / 2, &sink); }));
-  results.push_back(Timed("figure_sweep_quick", [] { return RunQuickFigureSweep(); }));
-
+// Records `config` as replay_<name>, checks its order and times it. Returns
+// false, after saying why on stderr, if the leg fails the order gate.
+bool RunLeg(const char* name, const scio::BenchmarkRunConfig& config, Row* row) {
+  row->name = std::string("replay_") + name;
+  const char* label = row->name.c_str();
   EngineOpLog log;
-  if (!log.Record(Fig15Leg())) {
-    std::fprintf(stderr, "replay_fig15: recorded stream skips a sequence number\n");
-    return 1;
+  if (!log.Record(config)) {
+    std::fprintf(stderr, "%s: recorded stream skips a sequence number\n", label);
+    return false;
   }
+  row->events_scheduled = log.schedules();
+
   // The reference: the recorded stream through the (when, seq) heap, then
   // once through the wheel to compare every NextTime() answer.
   std::vector<uint32_t> fired;
@@ -445,90 +350,98 @@ int JsonMain(const char* out_path) {
     log.Replay(&queue, &handles, &fired, &probes);
   }
   const bool probes_agree = probes == reference_probes;
-  // One leg replays in tens of milliseconds, so the row is the median of
-  // several passes, each into a fresh queue.
-  constexpr int kReplayPasses = 9;
+
+  // Timed passes, wheel and heap alternating.
   std::vector<scio::EventHandle> handles(log.schedules());
+  std::vector<std::shared_ptr<HeapQueue::State>> states(log.schedules());
   bool replay_in_order = true;
-  std::vector<TimedResult> passes;
+  std::vector<double> wheel_ms;
+  std::vector<double> heap_ms;
   for (int pass = 0; pass < kReplayPasses; ++pass) {
     fired.clear();
     scio::EventQueue queue;
-    TimedResult r = Timed("replay_fig15", [&] { return log.Replay(&queue, &handles, &fired); });
-    r.routes_per_schedule = static_cast<double>(queue.counters().routes) /
-                            static_cast<double>(log.schedules());
-    r.slot_searches_per_fire = static_cast<double>(queue.counters().slot_searches) /
-                               static_cast<double>(log.fires());
+    const uint64_t allocs_before = scio::HeapAllocCount();
+    wheel_ms.push_back(WallMs([&] { log.Replay(&queue, &handles, &fired); }));
+    row->allocs = scio::HeapAllocCount() - allocs_before;
+    row->routes_per_schedule = static_cast<double>(queue.counters().routes) /
+                               static_cast<double>(log.schedules());
+    row->slot_searches_per_fire = static_cast<double>(queue.counters().slot_searches) /
+                                  static_cast<double>(log.fires());
     replay_in_order = replay_in_order && log.FiredInRecordedOrder(fired);
-    passes.push_back(r);
-  }
-  std::sort(passes.begin(), passes.end(),
-            [](const TimedResult& a, const TimedResult& b) { return a.wall_ms < b.wall_ms; });
-  results.push_back(passes[kReplayPasses / 2]);
 
-  FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
+    fired.clear();
+    HeapQueue heap;
+    heap_ms.push_back(WallMs([&] { log.Replay(&heap, &states, &fired); }));
+    states.assign(states.size(), nullptr);
   }
-  std::fprintf(f, "{\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const TimedResult& r = results[i];
-    std::fprintf(f,
-                 "  \"%s\": {\"wall_ms\": %.3f, \"events_scheduled\": %llu, "
-                 "\"allocs\": %llu",
-                 r.name.c_str(), r.wall_ms,
-                 static_cast<unsigned long long>(r.events_scheduled),
-                 static_cast<unsigned long long>(r.allocs));
-    if (r.routes_per_schedule >= 0) {
-      std::fprintf(f, ", \"routes_per_schedule\": %.3f, \"slot_searches_per_fire\": %.3f",
-                   r.routes_per_schedule, r.slot_searches_per_fire);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  row->wall_ms = Median(wheel_ms);
+  row->heap_wall_ms = Median(heap_ms);
 
-  for (const TimedResult& r : results) {
-    std::printf("%-22s %10.3f ms  %12llu events  %12llu allocs", r.name.c_str(),
-                r.wall_ms, static_cast<unsigned long long>(r.events_scheduled),
-                static_cast<unsigned long long>(r.allocs));
-    if (r.routes_per_schedule >= 0) {
-      std::printf("  %.3f routes/schedule  %.3f slot searches/fire", r.routes_per_schedule,
-                  r.slot_searches_per_fire);
-    }
-    std::printf("\n");
-  }
-  std::printf("steady speedup (heap/wheel): %.2fx\n",
-              results[1].wall_ms / results[0].wall_ms);
-  std::printf("churn  speedup (heap/wheel): %.2fx\n",
-              results[3].wall_ms / results[2].wall_ms);
-  std::printf("(json written to %s)\n", out_path);
-  (void)sink;
+  // The run's own heap traffic, without the tap.
+  const uint64_t run_allocs_before = scio::HeapAllocCount();
+  const scio::BenchmarkResult result = scio::RunBenchmark(config);
+  row->allocs_per_conn = static_cast<double>(scio::HeapAllocCount() - run_allocs_before) /
+                         static_cast<double>(std::max<uint64_t>(result.total_accepted, 1));
+
   if (!recorded_in_order) {
-    std::fprintf(stderr, "replay_fig15: the recorded leg fired out of (when, seq) order\n");
+    std::fprintf(stderr, "%s: the recorded leg fired out of (when, seq) order\n", label);
   }
   if (!probes_agree) {
-    std::fprintf(stderr, "replay_fig15: a NextTime() answer differs from the reference's\n");
+    std::fprintf(stderr, "%s: a NextTime() answer differs from the reference's\n", label);
   }
   if (!replay_in_order) {
-    std::fprintf(stderr, "replay_fig15: the replay fired in a different order than the "
-                         "recorded leg\n");
+    std::fprintf(stderr, "%s: the replay fired in a different order than the recorded leg\n",
+                 label);
   }
-  return recorded_in_order && probes_agree && replay_in_order ? 0 : 1;
+  return recorded_in_order && probes_agree && replay_in_order;
+}
+
+void WriteJson(FILE* f, const std::vector<Row>& rows) {
+  std::fprintf(f, "{\n");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    std::fprintf(f,
+                 "  \"%s\": {\"wall_ms\": %.3f, \"heap_wall_ms\": %.3f, "
+                 "\"events_scheduled\": %llu, \"allocs\": %llu, "
+                 "\"routes_per_schedule\": %.3f, \"slot_searches_per_fire\": %.3f, "
+                 "\"allocs_per_conn\": %.1f}%s\n",
+                 r.name.c_str(), r.wall_ms, r.heap_wall_ms,
+                 static_cast<unsigned long long>(r.events_scheduled),
+                 static_cast<unsigned long long>(r.allocs), r.routes_per_schedule,
+                 r.slot_searches_per_fire, r.allocs_per_conn,
+                 i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "}\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--gbench") == 0) {
-    argv[1] = argv[0];
-    ++argv;
-    --argc;
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
-  }
   const char* out_path = argc > 1 ? argv[1] : "BENCH_engine.json";
-  return JsonMain(out_path);
+  const struct {
+    const char* name;
+    scio::BenchmarkRunConfig config;
+  } legs[] = {
+      {"fig15", Fig15Leg()},
+      {"transport_loss1", TransportLoss1Leg()},
+      {"smp_sharded", SmpShardedLeg()},
+      {"smp_1cpu", SmpOneCpuLeg()},
+      {"torture_pkt_loss", TorturePktLossLeg()},
+  };
+  bool in_order = true;
+  std::vector<Row> rows;
+  for (const auto& leg : legs) {
+    Row row;
+    in_order = RunLeg(leg.name, leg.config, &row) && in_order;
+    rows.push_back(row);
+  }
+  FILE* f = std::fopen(out_path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", out_path);
+    return 1;
+  }
+  WriteJson(f, rows);
+  std::fclose(f);
+  WriteJson(stdout, rows);
+  return in_order ? 0 : 1;
 }

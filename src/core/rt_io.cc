@@ -17,23 +17,26 @@ int RtIo::ArmAsync(int fd, int signo) {
   return 0;
 }
 
-bool RtIo::WaitForSignal(int timeout_ms) {
+int RtIo::WaitForSignal(int timeout_ms) {
   // The queued signal wakes the process itself, so the sleep registers no
-  // waiter. An EINTR (a non-queued signal) surfaces to the caller as an
-  // empty wait result, which every signal loop already retries.
+  // waiter.
   auto none = [] {};
   return kernel_->WaitFor(
-             *proc_, timeout_ms, [this] { return proc_->HasPendingSignals() ? 1 : 0; },
-             none, none) > 0;
+      *proc_, timeout_ms, [this] { return proc_->HasPendingSignals() ? 1 : 0; }, none, none);
 }
 
-std::optional<SigInfo> RtIo::SigWaitInfo(int timeout_ms) {
+std::optional<SigInfo> RtIo::SigWaitInfo(int timeout_ms, int* error) {
   SyscallTraceScope trace(kernel_, "sigwaitinfo");
   KernelStats& stats = kernel_->stats();
   ++stats.syscalls;
   kernel_->Charge({{ChargeCat::kSyscallEntry, kernel_->cost().syscall_entry},
                    {ChargeCat::kSignalDequeue, kernel_->cost().rt_sigwaitinfo_extra}});
-  if (!WaitForSignal(timeout_ms)) {
+  const int ready = WaitForSignal(timeout_ms);
+  if (error != nullptr) {
+    *error = ready == kErrIntr ? kErrIntr : 0;
+  }
+  if (ready <= 0) {
+    trace.set_result(ready);
     return std::nullopt;
   }
   std::optional<SigInfo> si = proc_->DequeueSignal();
@@ -55,8 +58,12 @@ int RtIo::SigTimedWait4(std::span<SigInfo> out, int timeout_ms) {
   ++stats.syscalls;
   kernel_->Charge({{ChargeCat::kSyscallEntry, kernel_->cost().syscall_entry},
                    {ChargeCat::kSignalDequeue, kernel_->cost().rt_sigwaitinfo_extra}});
-  if (out.empty() || !WaitForSignal(timeout_ms)) {
+  if (out.empty()) {
     return 0;
+  }
+  if (const int ready = WaitForSignal(timeout_ms); ready <= 0) {
+    trace.set_result(ready);
+    return ready;  // 0, or kErrIntr: the caller retries
   }
   int n = 0;
   while (n < static_cast<int>(out.size())) {

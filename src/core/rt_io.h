@@ -28,13 +28,16 @@ class RtIo {
   [[nodiscard]] int ArmAsync(int fd, int signo);
 
   // sigwaitinfo(): block until a signal is pending, dequeue the lowest-
-  // numbered one. Returns nullopt on timeout (timeout_ms >= 0) or stop.
+  // numbered one. Returns nullopt on timeout (timeout_ms >= 0), stop or
+  // EINTR; if `error` is given it reads kErrIntr after an EINTR, else 0.
   // timeout_ms < 0 blocks forever (the real call always blocks; the timeout
   // exists so benchmark loops can wind down).
-  [[nodiscard]] std::optional<SigInfo> SigWaitInfo(int timeout_ms = -1);
+  [[nodiscard]] std::optional<SigInfo> SigWaitInfo(int timeout_ms = -1,
+                                                   int* error = nullptr);
 
   // sigtimedwait4() extension: dequeue up to out.size() pending signals in
-  // one call. Returns the count (>= 1 unless timeout/stop).
+  // one call. Returns the count (>= 1 unless timeout/stop), or kErrIntr when
+  // a signal interrupts the sleep.
   [[nodiscard]] int SigTimedWait4(std::span<SigInfo> out, int timeout_ms = -1);
 
   // Overflow recovery step (paper §2): reset handlers to SIG_DFL, flushing
@@ -42,9 +45,9 @@ class RtIo {
   [[nodiscard]] size_t FlushRtSignals();
 
  private:
-  // SimKernel::WaitFor until a signal is pending; false on timeout, stop or
-  // EINTR.
-  bool WaitForSignal(int timeout_ms);
+  // SimKernel::WaitFor until a signal is pending: > 0 when one is, 0 on
+  // timeout or stop, kErrIntr when a signal interrupts the sleep.
+  int WaitForSignal(int timeout_ms);
 
   SimKernel* kernel_;
   Process* proc_;

@@ -90,8 +90,9 @@ class Sys {
 
   // --- RT signals -----------------------------------------------------------------
   [[nodiscard]] int ArmAsync(int fd, int signo) { return rt_.ArmAsync(fd, signo); }
-  [[nodiscard]] std::optional<SigInfo> SigWaitInfo(int timeout_ms = -1) {
-    return rt_.SigWaitInfo(timeout_ms);
+  [[nodiscard]] std::optional<SigInfo> SigWaitInfo(int timeout_ms = -1,
+                                                   int* error = nullptr) {
+    return rt_.SigWaitInfo(timeout_ms, error);
   }
   [[nodiscard]] int SigTimedWait4(std::span<SigInfo> out, int timeout_ms = -1) {
     return rt_.SigTimedWait4(out, timeout_ms);

@@ -142,11 +142,8 @@ class FaultPlane {
   bool Roll(const FaultWindow* window);
 
   void RecordInjection(const char* name, int32_t arg0 = 0) {
-    if constexpr (kFlightRecorderCompiledIn) {
-      if (recorder_ != nullptr) {
-        recorder_->Record(
-            {sim_->now(), 0, 0, arg0, 0, TraceEventType::kFault, name});
-      }
+    if (recorder_ != nullptr) {
+      recorder_->Record({sim_->now(), 0, 0, arg0, 0, TraceEventType::kFault, name});
     }
   }
 

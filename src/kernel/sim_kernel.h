@@ -259,14 +259,11 @@ class SimKernel {
   }
   FlightRecorder* recorder() { return recorder_; }
 
-  // Record an instant event (no-op when no recorder is attached; compiled
-  // out entirely under SCIO_NO_TRACE).
+  // Record an instant event (no-op when no recorder is attached).
   void TraceInstant(TraceEventType type, const char* name, int32_t arg0 = 0,
                     int32_t arg1 = 0) {
-    if constexpr (kFlightRecorderCompiledIn) {
-      if (recorder_ != nullptr) {
-        recorder_->Record({now(), 0, 0, arg0, arg1, type, name});
-      }
+    if (recorder_ != nullptr) {
+      recorder_->Record({now(), 0, 0, arg0, arg1, type, name});
     }
   }
 
@@ -319,27 +316,23 @@ class SimKernel {
 // RAII scope that records one syscall as a complete trace slice: wall
 // duration (including blocked time) plus the virtual CPU charged inside.
 // `name` must have static lifetime. Costs one branch when no recorder is
-// attached; compiles to nothing under SCIO_NO_TRACE.
+// attached.
 class SyscallTraceScope {
  public:
   SyscallTraceScope(SimKernel* kernel, const char* name, int32_t arg0 = -1) {
-    if constexpr (kFlightRecorderCompiledIn) {
-      if (kernel->recorder() != nullptr) {
-        kernel_ = kernel;
-        name_ = name;
-        arg0_ = arg0;
-        begin_ = kernel->now();
-        busy_begin_ = kernel->busy_time();
-      }
+    if (kernel->recorder() != nullptr) {
+      kernel_ = kernel;
+      name_ = name;
+      arg0_ = arg0;
+      begin_ = kernel->now();
+      busy_begin_ = kernel->busy_time();
     }
   }
   ~SyscallTraceScope() {
-    if constexpr (kFlightRecorderCompiledIn) {
-      if (kernel_ != nullptr) {
-        kernel_->recorder()->Record({begin_, kernel_->now() - begin_,
-                                     kernel_->busy_time() - busy_begin_, arg0_,
-                                     result_, TraceEventType::kSyscall, name_});
-      }
+    if (kernel_ != nullptr) {
+      kernel_->recorder()->Record({begin_, kernel_->now() - begin_,
+                                   kernel_->busy_time() - busy_begin_, arg0_, result_,
+                                   TraceEventType::kSyscall, name_});
     }
   }
   SyscallTraceScope(const SyscallTraceScope&) = delete;

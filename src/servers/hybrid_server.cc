@@ -41,6 +41,9 @@ void HybridServer::UpdatePolicy(bool overflowed) {
 
 void HybridServer::RunSignalIteration(SimTime until) {
   const int n = sys().SigTimedWait4(signal_batch_, WaitTimeoutMs(until));
+  if (n == kErrIntr) {
+    ++stats_.eintr_returns;  // interrupted; the next Step() waits again
+  }
   bool overflowed = false;
   for (int i = 0; i < n; ++i) {
     const SigInfo& si = signal_batch_[static_cast<size_t>(i)];

@@ -80,7 +80,11 @@ void Phhttpd::Step(SimTime until) {
     return;
   }
 
-  std::optional<SigInfo> si = sys().SigWaitInfo(WaitTimeoutMs(until));
+  int error = 0;
+  std::optional<SigInfo> si = sys().SigWaitInfo(WaitTimeoutMs(until), &error);
+  if (error == kErrIntr) {
+    ++stats_.eintr_returns;  // interrupted; the next Step() waits again
+  }
   if (!si.has_value() || !HandleSignal(*si)) {
     return;
   }

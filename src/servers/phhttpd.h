@@ -8,10 +8,12 @@
 //  - stale signals for closed descriptors are tolerated (§2: "a server
 //    application may receive and try to process previously queued read or
 //    write events before it picks up the close event");
-//  - on SIGIO (RT queue overflow) it flushes the queue and falls back to
-//    poll(), rebuilding its pollfd array from scratch (§6) — and, like the
-//    real phhttpd, *never switches back* to signal mode ("Brown never
-//    implemented this logic").
+//  - on SIGIO (RT queue overflow) the default recovery, kFlushPollResume,
+//    flushes the queue, makes one non-blocking poll() pass over a pollfd
+//    array rebuilt from scratch, and resumes sigwaitinfo(). The threaded
+//    variant, kHandoffToPollSibling, hands every connection to its poll
+//    sibling and, like the real phhttpd, *never switches back* to signal
+//    mode (§6: "Brown never implemented this logic"); only tests select it.
 
 #ifndef SRC_SERVERS_PHHTTPD_H_
 #define SRC_SERVERS_PHHTTPD_H_

@@ -13,9 +13,9 @@
 //   - a per-phase breakdown table (event counts and charged time binned by
 //     the phase marks the benchmark laid down).
 //
-// Compile-time kill switch: building with -DSCIO_NO_TRACE (CMake option
-// SCIO_DISABLE_TRACE) turns every recording helper in SimKernel into an
-// inlined no-op, for a zero-overhead disabled path.
+// Detached (the default), every recording helper costs one null-pointer
+// branch: SimKernel, SyscallTraceScope and the fault plane test for a
+// recorder before building an event.
 
 #ifndef SRC_TRACE_FLIGHT_RECORDER_H_
 #define SRC_TRACE_FLIGHT_RECORDER_H_
@@ -30,12 +30,6 @@
 #include "src/sim/time.h"
 
 namespace scio {
-
-#if defined(SCIO_NO_TRACE)
-inline constexpr bool kFlightRecorderCompiledIn = false;
-#else
-inline constexpr bool kFlightRecorderCompiledIn = true;
-#endif
 
 enum class TraceEventType : unsigned char {
   kSyscall,     // complete slice: [ts, ts+wall), charged = busy-time delta

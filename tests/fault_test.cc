@@ -264,8 +264,8 @@ class WaitProtocolTest : public SimWorldTest,
     }
   }
 
-  // One blocking wait. sigwaitinfo() has no error code: its empty result
-  // (timeout, stop or EINTR alike) reads as 0.
+  // One blocking wait. sigwaitinfo() reports an EINTR through its error
+  // out-parameter; its other empty results (timeout, stop) read as 0.
   int Wait(int timeout_ms) {
     PollFd results[4];
     switch (GetParam()) {
@@ -285,8 +285,10 @@ class WaitProtocolTest : public SimWorldTest,
         KEvent events[4];
         return sys_.Kevent(fd_, {}, events, timeout_ms);
       }
-      case WaitIface::kSigWaitInfo:
-        return sys_.SigWaitInfo(timeout_ms).has_value() ? 1 : 0;
+      case WaitIface::kSigWaitInfo: {
+        int error = 0;
+        return sys_.SigWaitInfo(timeout_ms, &error).has_value() ? 1 : error;
+      }
     }
     return -1;
   }
@@ -335,7 +337,7 @@ TEST_P(WaitProtocolTest, StoppedKernelReturnsWithoutSleeping) {
 TEST_P(WaitProtocolTest, EintrReturnsAfterOneSleep) {
   OpenEintrWindow();
   const SimTime start = kernel_.now();
-  EXPECT_EQ(Wait(10), GetParam() == WaitIface::kSigWaitInfo ? 0 : kErrIntr);
+  EXPECT_EQ(Wait(10), kErrIntr);
   EXPECT_GE(kernel_.now(), start + Millis(10)) << "slept to the deadline first";
   EXPECT_EQ(plane_->stats().eintr_injected, 1u);
   // One sleep: one registration (none for the signal wait, whose queued

@@ -160,6 +160,11 @@ TEST(BenchmarkRunTest, SmallRunProducesSaneNumbers) {
   EXPECT_LT(result.cpu_utilization, 1.0);
 }
 
+const ServerKind kAllServerKinds[] = {
+    ServerKind::kThttpdPoll,  ServerKind::kThttpdDevPoll,  ServerKind::kPhhttpd,
+    ServerKind::kHybrid,      ServerKind::kThttpdEpoll,    ServerKind::kThttpdEpollEt,
+    ServerKind::kPhhttpdKqueue};
+
 // Two runs of the same seed must carry the same RunSignature, every counter
 // of every plane — the event engine's replay contract (same-time events in
 // schedule order), for every server kind.
@@ -184,13 +189,33 @@ TEST_P(DeterminismTest, IdenticalSeedsIdenticalResults) {
   EXPECT_EQ(a.signature, b.signature);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllServers, DeterminismTest,
-                         ::testing::Values(ServerKind::kThttpdPoll,
-                                           ServerKind::kThttpdDevPoll,
-                                           ServerKind::kPhhttpd, ServerKind::kHybrid,
-                                           ServerKind::kThttpdEpoll,
-                                           ServerKind::kThttpdEpollEt,
-                                           ServerKind::kPhhttpdKqueue));
+INSTANTIATE_TEST_SUITE_P(AllServers, DeterminismTest, ::testing::ValuesIn(kAllServerKinds));
+
+// Under an EINTR window every interrupted wait reaches the server as an
+// error and is counted: poll(), DP_POLL, epoll_wait and kevent return
+// kErrIntr, sigwaitinfo() reports it through its error out-parameter and
+// sigtimedwait4() returns it. The inline server is the only process that
+// blocks, so it sees every injected EINTR.
+class EintrAccountingTest : public ::testing::TestWithParam<ServerKind> {};
+
+TEST_P(EintrAccountingTest, EveryInterruptedWaitIsCounted) {
+  BenchmarkRunConfig config;
+  config.server = GetParam();
+  config.active.request_rate = 500;
+  config.active.duration = Seconds(2);
+  config.inactive.connections = 50;
+  config.warmup = Millis(500);
+  config.drain = Millis(500);
+  config.faults.seed = 106;
+  config.faults.Add({FaultKind::kEintr, Millis(500), Millis(2500), 0.5, 0, LinkDir::kBoth});
+  const BenchmarkResult result = RunBenchmark(config);
+  ASSERT_TRUE(result.setup_ok);
+  EXPECT_GT(result.fault_stats.eintr_injected, 0u);
+  EXPECT_EQ(result.server_stats.eintr_returns, result.fault_stats.eintr_injected);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllServers, EintrAccountingTest,
+                         ::testing::ValuesIn(kAllServerKinds));
 
 // Retry backoff jitter: a config that forces refusals (accept-EMFILE window
 // fills the backlog, later SYNs bounce) so clients actually walk the
