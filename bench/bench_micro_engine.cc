@@ -7,21 +7,24 @@
 // timer-wheel EventQueue and into HeapQueue, the priority-queue-of-
 // allocations engine the wheel replaced. Each leg is one replay_<leg> row of
 // the JSON: the wheel's median wall_ms with its routes per schedule, slot
-// searches per fire and allocations; heap_wall_ms, the heap's median on the
-// same stream; and allocs_per_conn, the heap allocations per connection of
-// one unrecorded run of the leg's config.
+// searches per fire, allocations and two due-run path counts; heap_wall_ms,
+// the heap's median on the same stream; and allocs_per_conn, the heap
+// allocations per connection of one unrecorded run of the leg's config.
 //
 // The legs are picked by the engine paths they reach. fig15 is the common
 // case. The others reach the due-run paths fig15 never does:
 // transport_loss1 peeks at a cancelled entry after a fire and drains slots
 // whose same-time events are out of seq order, torture_pkt_loss drains
 // hundreds of such slots, and the two pools cancel a cached due-run head,
-// which smp_1cpu's next probe reads.
+// which smp_1cpu's next probe reads. head_cancel_resolves and
+// cancelled_peek_resolves count the two cancelled-head paths.
 //
 // Exits 1 if any leg is out of (when, seq) order: its recorded fires or the
 // wheel's NextTime() answers against the same stream replayed into
-// HeapQueue, or the wheel's replay against the recording. Timings never
-// fail it.
+// HeapQueue, or the wheel's replay against the recording. Also exits 1 if
+// transport_loss1 resolves no cancelled peek or smp_1cpu no cancelled
+// cached head: each is the one leg whose order check covers that path.
+// Timings never fail it.
 
 #include <algorithm>
 #include <chrono>
@@ -299,8 +302,20 @@ struct Row {
   uint64_t allocs = 0;      // wheel replay
   double routes_per_schedule = 0;
   double slot_searches_per_fire = 0;
+  scio::EventQueue::Counters counters;  // wheel replay
   double allocs_per_conn = 0;  // one unrecorded run of the leg's config
 };
+
+// A due-run path that only one leg's order check covers: its engine counter
+// and that counter's JSON key.
+struct ThinPath {
+  const char* counter;
+  uint64_t scio::EventQueue::Counters::*count;
+};
+constexpr ThinPath kHeadCancel{"head_cancel_resolves",
+                               &scio::EventQueue::Counters::head_cancel_resolves};
+constexpr ThinPath kCancelledPeek{"cancelled_peek_resolves",
+                                  &scio::EventQueue::Counters::cancelled_peek_resolves};
 
 // One leg replays in milliseconds to tens of them, so each time is the
 // median of several passes, each into a fresh queue.
@@ -320,8 +335,10 @@ double Median(std::vector<double> v) {
 }
 
 // Records `config` as replay_<name>, checks its order and times it. Returns
-// false, after saying why on stderr, if the leg fails the order gate.
-bool RunLeg(const char* name, const scio::BenchmarkRunConfig& config, Row* row) {
+// false, after saying why on stderr, if the leg fails the order gate or
+// misses `must_reach` (if given).
+bool RunLeg(const char* name, const scio::BenchmarkRunConfig& config,
+            const ThinPath* must_reach, Row* row) {
   row->name = std::string("replay_") + name;
   const char* label = row->name.c_str();
   EngineOpLog log;
@@ -367,6 +384,7 @@ bool RunLeg(const char* name, const scio::BenchmarkRunConfig& config, Row* row) 
                                static_cast<double>(log.schedules());
     row->slot_searches_per_fire = static_cast<double>(queue.counters().slot_searches) /
                                   static_cast<double>(log.fires());
+    row->counters = queue.counters();
     replay_in_order = replay_in_order && log.FiredInRecordedOrder(fired);
 
     fired.clear();
@@ -393,7 +411,12 @@ bool RunLeg(const char* name, const scio::BenchmarkRunConfig& config, Row* row) 
     std::fprintf(stderr, "%s: the replay fired in a different order than the recorded leg\n",
                  label);
   }
-  return recorded_in_order && probes_agree && replay_in_order;
+  const bool reaches = must_reach == nullptr || row->counters.*must_reach->count > 0;
+  if (!reaches) {
+    std::fprintf(stderr, "%s: %s is 0, so no leg checks that path\n", label,
+                 must_reach->counter);
+  }
+  return recorded_in_order && probes_agree && replay_in_order && reaches;
 }
 
 void WriteJson(FILE* f, const std::vector<Row>& rows) {
@@ -404,12 +427,15 @@ void WriteJson(FILE* f, const std::vector<Row>& rows) {
                  "  \"%s\": {\"wall_ms\": %.3f, \"heap_wall_ms\": %.3f, "
                  "\"events_scheduled\": %llu, \"allocs\": %llu, "
                  "\"routes_per_schedule\": %.3f, \"slot_searches_per_fire\": %.3f, "
+                 "\"head_cancel_resolves\": %llu, \"cancelled_peek_resolves\": %llu, "
                  "\"allocs_per_conn\": %.1f}%s\n",
                  r.name.c_str(), r.wall_ms, r.heap_wall_ms,
                  static_cast<unsigned long long>(r.events_scheduled),
                  static_cast<unsigned long long>(r.allocs), r.routes_per_schedule,
-                 r.slot_searches_per_fire, r.allocs_per_conn,
-                 i + 1 < rows.size() ? "," : "");
+                 r.slot_searches_per_fire,
+                 static_cast<unsigned long long>(r.counters.head_cancel_resolves),
+                 static_cast<unsigned long long>(r.counters.cancelled_peek_resolves),
+                 r.allocs_per_conn, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "}\n");
 }
@@ -421,18 +447,19 @@ int main(int argc, char** argv) {
   const struct {
     const char* name;
     scio::BenchmarkRunConfig config;
+    const ThinPath* must_reach;
   } legs[] = {
-      {"fig15", Fig15Leg()},
-      {"transport_loss1", TransportLoss1Leg()},
-      {"smp_sharded", SmpShardedLeg()},
-      {"smp_1cpu", SmpOneCpuLeg()},
-      {"torture_pkt_loss", TorturePktLossLeg()},
+      {"fig15", Fig15Leg(), nullptr},
+      {"transport_loss1", TransportLoss1Leg(), &kCancelledPeek},
+      {"smp_sharded", SmpShardedLeg(), nullptr},
+      {"smp_1cpu", SmpOneCpuLeg(), &kHeadCancel},
+      {"torture_pkt_loss", TorturePktLossLeg(), nullptr},
   };
   bool in_order = true;
   std::vector<Row> rows;
   for (const auto& leg : legs) {
     Row row;
-    in_order = RunLeg(leg.name, leg.config, &row) && in_order;
+    in_order = RunLeg(leg.name, leg.config, leg.must_reach, &row) && in_order;
     rows.push_back(row);
   }
   FILE* f = std::fopen(out_path, "w");

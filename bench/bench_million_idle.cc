@@ -71,7 +71,6 @@ class IdleFleet {
 
   void Start() { LaunchBatch(); }
 
-  size_t connected() const { return connected_; }
   size_t refused() const { return refused_; }
   bool done() const {
     return launched_ >= target_ && pending_ == 0 && ServerDrainedBatch();
@@ -110,7 +109,6 @@ class IdleFleet {
   }
 
   void OnEstablished() {
-    ++connected_;
     --pending_;
     MaybeScheduleNext();
   }
@@ -147,7 +145,6 @@ class IdleFleet {
   size_t target_;
   std::vector<std::shared_ptr<SimSocket>> members_;
   size_t launched_ = 0;
-  size_t connected_ = 0;
   size_t pending_ = 0;
   size_t refused_ = 0;
 };

@@ -122,13 +122,9 @@ long DevPollDevice::WriteInternal(std::span<const PollFd> updates) {
     }
     bool inserted = false;
     Interest& interest = table_.FindOrInsert(update.fd, &inserted);
-    if (inserted || !options_.solaris_or_semantics) {
-      // Paper §3.1: "the contents of the events field replace the previous
-      // interest, unlike the Solaris implementation".
-      interest.events = update.events;
-    } else {
-      interest.events |= update.events;
-    }
+    // Paper §3.1: "the contents of the events field replace the previous
+    // interest, unlike the Solaris implementation".
+    interest.events = update.events;
     BindInterest(interest);
     table_.Mark(update.fd);  // a new events mask or binding may end idleness
     if (options_.hinted_first_scan) {

@@ -44,9 +44,6 @@ namespace scio {
 
 struct DevPollOptions {
   bool hints_enabled = true;
-  // Solaris OR's a written events field into the existing interest; the
-  // paper's Linux implementation replaces it (§3.1). Off = replace.
-  bool solaris_or_semantics = false;
   // §6 future work: scan only hinted / cached-ready interests.
   bool hinted_first_scan = false;
   // Wake-one sleep (WQ_FLAG_EXCLUSIVE, the 2.3 herd fix): DP_POLL sleeps as
@@ -104,8 +101,6 @@ class DevPollDevice : public File {
   size_t bucket_count() const { return table_.bucket_count(); }
   const DevPollOptions& options() const { return options_; }
   Process* owner() const { return owner_; }
-  int result_capacity() const { return static_cast<int>(result_area_.size()); }
-  bool mapped() const { return mapped_; }
   const Interest* FindInterest(int fd) const;
   // Test hook: mark every bucket, so the next full walk takes every interest
   // one by one — the reference walk the scan index must match.

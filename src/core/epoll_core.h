@@ -67,7 +67,6 @@ class EpollDevice : public File, public StatusListener {
 
   // --- introspection ------------------------------------------------------------
   size_t interest_count() const { return items_.size(); }
-  size_t ready_count() const { return ready_.size(); }
   bool Watching(int fd) const { return items_.Contains(static_cast<size_t>(fd)); }
   Process* owner() const { return owner_; }
 

@@ -2,28 +2,6 @@
 
 namespace scio {
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kAcceptEmfile:
-      return "accept-emfile";
-    case FaultKind::kOpenEmfile:
-      return "open-emfile";
-    case FaultKind::kInterestEnomem:
-      return "interest-enomem";
-    case FaultKind::kEintr:
-      return "eintr";
-    case FaultKind::kRtQueueShrink:
-      return "rt-queue-shrink";
-    case FaultKind::kPacketLoss:
-      return "packet-loss";
-    case FaultKind::kLatencySpike:
-      return "latency-spike";
-    case FaultKind::kLinkFlap:
-      return "link-flap";
-  }
-  return "unknown";
-}
-
 std::vector<std::pair<std::string, uint64_t>> FaultStats::ToRows() const {
   return {
       {"fault.accept_emfile_injected", accept_emfile_injected},

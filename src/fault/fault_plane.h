@@ -47,8 +47,6 @@ enum class FaultKind {
   kLinkFlap,        // link down: deliveries held until the window closes
 };
 
-const char* FaultKindName(FaultKind kind);
-
 // Which link direction a network fault applies to.
 enum class LinkDir {
   kBoth,
@@ -127,9 +125,6 @@ class FaultPlane {
 
   const FaultStats& stats() const { return stats_; }
   const FaultSchedule& schedule() const { return schedule_; }
-
-  // True while any window of `kind` is active at the current sim time.
-  bool Active(FaultKind kind) const { return ActiveWindow(kind) != nullptr; }
 
   // Optional flight recorder: every injection logs a kFault instant. Pure
   // observer — attaching one cannot change what gets injected.

@@ -34,7 +34,6 @@ class RequestParser {
   std::string_view method() const { return View(0, method_len_); }
   std::string_view path() const { return View(path_off_, path_len_); }
   std::string_view version() const { return View(version_off_, version_len_); }
-  size_t bytes_consumed() const { return buffer_.size(); }
 
   // Reset for the next request (keep-alive style reuse).
   void Reset();

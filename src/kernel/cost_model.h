@@ -7,7 +7,8 @@
 // on the paper's server hardware scale (400 MHz AMD K6-2): syscall traps cost
 // tens of microseconds and a 6 KB response costs a few hundred microseconds
 // of copy/checksum work, which saturates the server near 1000 replies/s as in
-// the paper. EXPERIMENTS.md records the calibration.
+// the paper. EXPERIMENTS.md records the calibration. The table is fixed:
+// SimKernel::cost() returns kCostModel and nothing can replace or mutate it.
 
 #ifndef SRC_KERNEL_COST_MODEL_H_
 #define SRC_KERNEL_COST_MODEL_H_
@@ -17,10 +18,6 @@
 namespace scio {
 
 struct CostModel {
-  // Uniform multiplier applied to every charge; lets a benchmark model a
-  // faster or slower CPU without retuning individual entries.
-  double cpu_scale = 1.0;
-
   // --- generic syscall costs -------------------------------------------------
   SimDuration syscall_entry = Micros(15);  // trap + kernel entry/exit
 
@@ -133,6 +130,8 @@ struct CostModel {
   SimDuration server_conn_setup = Micros(12);   // allocate + init conn state
   SimDuration server_conn_teardown = Micros(8);
 };
+
+inline constexpr CostModel kCostModel{};
 
 }  // namespace scio
 

@@ -85,14 +85,8 @@ class File {
   // owner removes only that process's subscription; a null owner disarms all
   // (the legacy single-owner disarm path).
   void SetAsyncSignal(Process* owner, int signo);
-  Process* async_owner() const {
-    return async_subs_.empty() ? nullptr : async_subs_.front().proc;
-  }
-  int async_signo() const { return async_subs_.empty() ? 0 : async_subs_.front().signo; }
-  size_t async_sub_count() const { return async_subs_.size(); }
 
   void SetAsyncDeliveryMode(AsyncDeliveryMode mode) { async_mode_ = mode; }
-  AsyncDeliveryMode async_delivery_mode() const { return async_mode_; }
 
   // The fd number this file is installed under (for signal payloads and
   // result reporting). Maintained by FdTable.

@@ -11,29 +11,15 @@ Process& SimKernel::CreateProcess(std::string name, int max_fds) {
 }
 
 void SimKernel::Charge(std::initializer_list<ChargeItem> items) {
-  SimDuration raw = 0;
+  // Attributed per item, applied as one charge of the summed duration — the
+  // clock motion is identical to the pre-attribution implementation, so
+  // seeded runs stay bit-identical.
+  SimDuration total = 0;
   for (const ChargeItem& item : items) {
-    raw += item.d;
+    Attribute(item.cat, item.d);
+    total += item.d;
   }
-  // One charge of the summed duration — the clock motion is identical to the
-  // pre-attribution implementation, so seeded runs stay bit-identical.
-  const SimDuration scaled = Scaled(raw);
-
-  // Attribute the process-context part per item. Each item is scaled
-  // individually; the rounding remainder (only possible with a fractional
-  // cpu_scale) lands on the last item so the ledger sums to exactly `scaled`.
-  SimDuration attributed = 0;
-  const ChargeItem* last = nullptr;
-  for (const ChargeItem& item : items) {
-    const SimDuration part = Scaled(item.d);
-    Attribute(item.cat, part);
-    attributed += part;
-    last = &item;
-  }
-  if (last != nullptr) {
-    Attribute(last->cat, scaled - attributed);
-  }
-  PayAndAdvance(scaled);
+  PayAndAdvance(total);
 }
 
 uint64_t SimKernel::DeferrableCharges(SimDuration d) {
@@ -47,31 +33,29 @@ uint64_t SimKernel::DeferrableCharges(SimDuration d) {
   if (bound <= start) {
     return 0;
   }
-  const SimDuration unit = Scaled(d);
-  if (bound == kSimTimeNever || unit <= 0) {
+  if (bound == kSimTimeNever || d <= 0) {
     return UINT64_MAX;
   }
-  // Largest j with start + j·unit < bound.
-  return static_cast<uint64_t>((bound - start - 1) / unit);
+  // Largest j with start + j·d < bound.
+  return static_cast<uint64_t>((bound - start - 1) / d);
 }
 
 void SimKernel::ChargeRepeated(SimDuration d, ChargeCat cat, uint64_t n) {
-  const SimDuration unit = Scaled(d);
   while (n > 0) {
     // Units within the horizon run no event; the one after it may, at its
     // end, exactly as its own Charge() would. A longer run is split there.
     // A single unit is one Charge() and needs no horizon.
     const uint64_t horizon = n == 1 ? 0 : DeferrableCharges(d);
     const uint64_t k = horizon >= n ? n : horizon + 1;
-    const SimDuration scaled = unit * static_cast<SimDuration>(k);
-    Attribute(cat, scaled);
-    PayAndAdvance(scaled);
+    const SimDuration run = d * static_cast<SimDuration>(k);
+    Attribute(cat, run);
+    PayAndAdvance(run);
     n -= k;
   }
 }
 
-void SimKernel::PayAndAdvance(SimDuration scaled) {
-  const SimDuration total = scaled + interrupt_debt_;
+void SimKernel::PayAndAdvance(SimDuration d) {
+  const SimDuration total = d + interrupt_debt_;
 
   // Pay the interrupt debt: move its per-category breakdown into the ledger.
   if (interrupt_debt_ > 0) {
@@ -121,7 +105,7 @@ bool SimKernel::BlockProcess(Process& proc, SimTime deadline) {
 }
 
 void SimKernel::QueueRtSignal(Process& proc, const SigInfo& si) {
-  ChargeDebt(cost_.rt_signal_enqueue, ChargeCat::kSignalEnqueue);
+  ChargeDebt(kCostModel.rt_signal_enqueue, ChargeCat::kSignalEnqueue);
   if (fault_ != nullptr) {
     // A fault window may shrink the effective queue: signals beyond the
     // forced cap are shed exactly as a real overflow would shed them, which

@@ -1,7 +1,7 @@
 // SimKernel: the simulated machine.
 //
-// Binds the discrete-event simulator to a cost model and process contexts.
-// Two time-accounting primitives drive everything:
+// Binds the discrete-event simulator to the fixed cost model and process
+// contexts. Two time-accounting primitives drive everything:
 //
 //   Charge(ns)   — the running process consumes virtual CPU. The clock moves
 //                  forward and any network/client events that fall inside the
@@ -24,7 +24,7 @@
 // Charge runs. A scan that charges the same per-entry cost n times can fold
 // the units into one clock move (ChargeRepeated) as long as none of them
 // would have run an event: unit j of a run is deferrable only while
-//   now + pending debt + j·Scaled(d) < bound
+//   now + pending debt + j·d < bound
 // where the bound is NextTime() (DeferrableCharges is that count). In SMP
 // worker context every charge is a scheduling point, so the bound is also
 // capped by SmpPlane::ChargeHorizon(): no deferred unit would have promoted
@@ -94,8 +94,7 @@ class SmpPlane {
 
 class SimKernel {
  public:
-  explicit SimKernel(Simulator* sim, CostModel cost = CostModel{})
-      : sim_(sim), cost_(cost) {
+  explicit SimKernel(Simulator* sim) : sim_(sim) {
     // Timer-wheel slabs count as kernel memory (MemSys::kTimers). The queue
     // reports through a plain function-pointer hook so scio_sim needs no
     // knowledge of the ledger.
@@ -113,25 +112,17 @@ class SimKernel {
 
   Simulator& sim() { return *sim_; }
   SimTime now() const { return sim_->now(); }
-  CostModel& cost() { return cost_; }
-  const CostModel& cost() const { return cost_; }
+  static const CostModel& cost() { return kCostModel; }
   KernelStats& stats() { return stats_; }
 
   Process& CreateProcess(std::string name, int max_fds = 8192);
-
-  // Scale a raw cost-model duration by cpu_scale.
-  SimDuration Scaled(SimDuration d) const {
-    return static_cast<SimDuration>(static_cast<double>(d) * cost_.cpu_scale);
-  }
 
   // Consume virtual CPU in process context (see file comment), attributed to
   // `cat` in the ledger.
   void Charge(SimDuration d, ChargeCat cat) { Charge({{cat, d}}); }
 
   // Multi-category variant: applied as ONE charge of the summed duration
-  // (identical clock motion), attributed per item. The scaled total is
-  // attributed exactly; any cpu_scale rounding remainder lands on the last
-  // item so the ledger invariant never drifts.
+  // (identical clock motion), attributed per item.
   void Charge(std::initializer_list<ChargeItem> items);
 
   // How many Charge(d, ...) units could run back to back from here without
@@ -139,7 +130,7 @@ class SimKernel {
   // (an empty queue) read as UINT64_MAX.
   uint64_t DeferrableCharges(SimDuration d);
 
-  // Exactly what `n` Charge(d, cat) calls do — n·Scaled(d) attributed to
+  // Exactly what `n` Charge(d, cat) calls do — n·d attributed to
   // `cat`, pending debt paid once — applied as one clock move per event
   // horizon crossed (one move when n <= DeferrableCharges(d) + 1). n == 0
   // does nothing.
@@ -147,9 +138,8 @@ class SimKernel {
 
   // Record interrupt-context work to be paid by the next Charge().
   void ChargeDebt(SimDuration d, ChargeCat cat) {
-    const SimDuration scaled = Scaled(d);
-    interrupt_debt_ += scaled;
-    debt_by_cat_[static_cast<size_t>(cat)] += scaled;
+    interrupt_debt_ += d;
+    debt_by_cat_[static_cast<size_t>(cat)] += d;
   }
 
   // Block `proc` until Wake() or `deadline`. Returns true if woken, false on
@@ -212,12 +202,12 @@ class SimKernel {
   void set_smp(SmpPlane* smp) { smp_ = smp; }
   SmpPlane* smp() { return smp_; }
 
-  // Scheduler-side accounting for already-scaled charges applied to a
-  // worker's local clock (context switches): the global ledger and busy time
-  // must still cover them or the attribution invariant would break.
-  void AccountSmp(ChargeCat cat, SimDuration scaled) {
-    attribution_.Add(cat, scaled);
-    busy_time_ += scaled;
+  // Scheduler-side accounting for charges applied to a worker's local clock
+  // (context switches): the global ledger and busy time must still cover
+  // them or the attribution invariant would break.
+  void AccountSmp(ChargeCat cat, SimDuration d) {
+    attribution_.Add(cat, d);
+    busy_time_ += d;
   }
 
   // Lifetime sum of Process::Wake() calls across every process — the herd
@@ -280,10 +270,10 @@ class SimKernel {
   bool InSmpWorker() const { return smp_ != nullptr && smp_->InWorkerContext(); }
 
   // Pay the pending debt and move the clock (or the running worker's CPU
-  // clock) by it plus `scaled`, the already-attributed process-context part.
+  // clock) by it plus `d`, the already-attributed process-context part.
   // Inline (defined in sim_kernel.cc, its only caller): it is the tail of
   // Charge(), the simulator's hottest call.
-  inline void PayAndAdvance(SimDuration scaled);
+  inline void PayAndAdvance(SimDuration d);
 
   // Ledger write that also feeds the running worker's per-CPU ledger when an
   // SMP plane is attached and we are in worker context.
@@ -295,7 +285,6 @@ class SimKernel {
   }
 
   Simulator* sim_;
-  CostModel cost_;
   KernelStats stats_;
   // Declared before processes_: descriptor tables and sockets record ledger
   // traffic from their destructors, so the ledger must outlive them.

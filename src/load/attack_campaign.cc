@@ -4,20 +4,6 @@
 
 namespace scio {
 
-const char* AttackKindName(AttackKind kind) {
-  switch (kind) {
-    case AttackKind::kSynFlood:
-      return "syn_flood";
-    case AttackKind::kSlowloris:
-      return "slowloris";
-    case AttackKind::kAbortChurn:
-      return "abort_churn";
-    case AttackKind::kRuleBlowup:
-      return "rule_blowup";
-  }
-  return "invalid";
-}
-
 std::vector<std::pair<std::string, uint64_t>> AttackStats::ToRows() const {
   return {
       {"attack.syns_sent", syns_sent},

@@ -45,8 +45,6 @@ enum class AttackKind {
   kRuleBlowup,  // junk DROP rules front-inserted into the filter chain
 };
 
-const char* AttackKindName(AttackKind kind);
-
 struct AttackWave {
   AttackKind kind = AttackKind::kSynFlood;
   // Half-open activity window [start, end) in absolute simulation time.

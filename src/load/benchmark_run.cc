@@ -131,7 +131,7 @@ std::string RunSignature(const BenchmarkResult& r) {
 
 BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
   Simulator sim;
-  SimKernel kernel(&sim, config.cost);
+  SimKernel kernel(&sim);
   FaultPlane fault_plane(&sim, config.faults);
   kernel.set_fault_plane(&fault_plane);
   if (config.recorder != nullptr) {

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/fault/fault_plane.h"
-#include "src/kernel/cost_model.h"
 #include "src/kernel/kernel_stats.h"
 #include "src/load/attack_campaign.h"
 #include "src/load/workload.h"
@@ -98,7 +97,6 @@ struct BenchmarkRunConfig {
   SimDuration drain = Seconds(4);    // let in-flight connections resolve
   SimDuration sample_width = Seconds(1);  // reply-rate sample buckets
 
-  CostModel cost;
   NetConfig net;
   ServerConfig server_config;
   ThttpdDevPollConfig devpoll_config;

@@ -5,6 +5,14 @@
 
 namespace scio {
 
+namespace {
+
+constexpr double kArrivalJitter = 0.1;  // +/- fraction of the inter-arrival gap
+constexpr SimDuration kRetryBackoff = Millis(50);      // first retry delay
+constexpr SimDuration kRetryBackoffCap = Millis(800);  // delay never exceeds this
+
+}  // namespace
+
 HttperfGenerator::HttperfGenerator(NetStack* net, std::shared_ptr<SimListener> listener,
                                    ActiveWorkload workload)
     : net_(net),
@@ -28,10 +36,7 @@ void HttperfGenerator::Start(SimTime start_at) {
     const auto total =
         static_cast<size_t>(workload_.request_rate * ToSeconds(workload_.duration));
     for (size_t i = 0; i < total; ++i) {
-      const double jitter =
-          workload_.arrival_jitter == 0.0
-              ? 0.0
-              : rng_.UniformReal(-workload_.arrival_jitter, workload_.arrival_jitter) * gap_ns;
+      const double jitter = rng_.UniformReal(-kArrivalJitter, kArrivalJitter) * gap_ns;
       const double at = gap_ns * static_cast<double>(i) + jitter;
       offsets.push_back(at < 0 ? 0 : at);
     }
@@ -63,19 +68,12 @@ void HttperfGenerator::MaybeRetry(ConnRecord* record, ConnOutcome outcome) {
   if (!retryable || record->attempts > workload_.max_retries) {
     return;
   }
-  // Capped exponential backoff: 1st retry after retry_backoff, then double.
-  SimDuration delay = workload_.retry_backoff;
-  for (int i = 1; i < record->attempts && delay < workload_.retry_backoff_cap; ++i) {
+  // Capped exponential backoff: 1st retry after kRetryBackoff, then double.
+  SimDuration delay = kRetryBackoff;
+  for (int i = 1; i < record->attempts && delay < kRetryBackoffCap; ++i) {
     delay *= 2;
   }
-  delay = std::min(delay, workload_.retry_backoff_cap);
-  if (workload_.retry_jitter > 0.0) {
-    // Desynchronize the retry cohort. Guarded so jitter == 0 consumes no RNG
-    // draw and the un-jittered schedule stays byte-identical.
-    delay = static_cast<SimDuration>(
-        static_cast<double>(delay) *
-        rng_.UniformReal(1.0 - workload_.retry_jitter, 1.0 + workload_.retry_jitter));
-  }
+  delay = std::min(delay, kRetryBackoffCap);
   ++retries_;
   record->outcome = ConnOutcome::kPending;  // the request is live again
   net_->kernel()->sim().ScheduleAfter(delay, [this, record] { Launch(record); });

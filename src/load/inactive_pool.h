@@ -40,7 +40,6 @@ class InactivePool {
   // Stop reconnecting and close everything (end of run).
   void Shutdown();
 
-  int target_population() const { return workload_.connections; }
   int connected_now() const;
   uint64_t reconnects() const { return reconnects_; }
   uint64_t trickle_bytes_sent() const { return trickle_bytes_; }

@@ -22,23 +22,13 @@ struct ActiveWorkload {
   SimDuration client_timeout = Millis(500);  // httperf --timeout equivalent
   // Poisson arrivals model the bursty, unpredictable load the paper says
   // high-latency Internet clients induce (§5); false = evenly spaced with
-  // +/- arrival_jitter, like an unmodified httperf.
+  // +/- 10% jitter, like an unmodified httperf.
   bool poisson_arrivals = true;
-  double arrival_jitter = 0.1;           // +/- fraction of the inter-arrival gap
   uint64_t seed = 1;
   // Real clients retry refused/timed-out/reset requests with capped
   // exponential backoff, which is exactly what prolongs an overload episode
   // after the original fault clears. 0 disables retries (the seed behaviour).
   int max_retries = 0;
-  SimDuration retry_backoff = Millis(50);      // first retry delay
-  SimDuration retry_backoff_cap = Millis(800); // delay never exceeds this
-  // Seeded multiplicative jitter on each retry delay: the delay is scaled by
-  // a uniform draw from [1 - retry_jitter, 1 + retry_jitter]. Real clients
-  // jitter their backoff so a refused cohort doesn't retry in lockstep and
-  // re-overload the server on a synchronized beat. 0 (the default) draws
-  // nothing from the RNG, so un-jittered runs are byte-identical to builds
-  // that predate the knob.
-  double retry_jitter = 0.0;
 };
 
 // Pathological-client load: clients that consume server resources while

@@ -26,8 +26,6 @@ class Table {
   // Write CSV to a file; returns false on I/O failure.
   bool WriteCsvFile(const std::string& path) const;
 
-  size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

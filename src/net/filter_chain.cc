@@ -4,18 +4,6 @@
 
 namespace scio {
 
-const char* FilterVerdictName(FilterVerdict verdict) {
-  switch (verdict) {
-    case FilterVerdict::kAccept:
-      return "accept";
-    case FilterVerdict::kDrop:
-      return "drop";
-    case FilterVerdict::kRateLimit:
-      return "rate_limit";
-  }
-  return "invalid";
-}
-
 std::vector<std::pair<std::string, uint64_t>> FilterChainStats::ToRows() const {
   return {
       {"chain.connect_evals", connect_evals},

@@ -41,8 +41,6 @@ enum class FilterVerdict : uint8_t {
   kRateLimit,  // token bucket: ACCEPT while tokens remain, DROP beyond
 };
 
-const char* FilterVerdictName(FilterVerdict verdict);
-
 // Default sustained admission rate for kRateLimit rules, in admissions per
 // second (a token per admitted SYN or data packet, refilled continuously).
 // 100/s holds a single abusive source band to ~1% of the paper's 10k-req/s

@@ -54,7 +54,7 @@ void SimListener::HandleSyn(const std::shared_ptr<SimSocket>& client) {
   if (closed_ || backlog_.size() >= static_cast<size_t>(backlog_max_)) {
     ++kernel()->stats().connections_refused;
     net_->LinkFor(/*toward_server=*/false)
-        .Transmit(net_->config().control_packet_bytes, [client] { client->HandleRefused(); });
+        .Transmit(kControlPacketBytes, [client] { client->HandleRefused(); });
     return;
   }
 
@@ -90,7 +90,7 @@ void SimListener::HandleSyn(const std::shared_ptr<SimSocket>& client) {
       kernel()->TotalProcessWakes() - wakes_before;
 
   net_->LinkFor(/*toward_server=*/false)
-      .Transmit(net_->config().control_packet_bytes, [client] { client->HandleConnected(); });
+      .Transmit(kControlPacketBytes, [client] { client->HandleConnected(); });
 }
 
 void SimListener::HandleRawSyn(int src_port) {

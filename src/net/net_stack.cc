@@ -22,8 +22,7 @@ std::shared_ptr<SimSocket> NetStack::Connect(const std::shared_ptr<SimListener>&
   const std::shared_ptr<SimListener>& target =
       listener->reuseport_group() != nullptr ? listener->reuseport_group()->Route(port)
                                              : listener;
-  to_server_.Transmit(config_.control_packet_bytes,
-                      [target, client] { target->HandleSyn(client); });
+  to_server_.Transmit(kControlPacketBytes, [target, client] { target->HandleSyn(client); });
   return client;
 }
 
@@ -33,8 +32,7 @@ void NetStack::RawSyn(const std::shared_ptr<SimListener>& listener, int src_port
   const std::shared_ptr<SimListener>& target =
       listener->reuseport_group() != nullptr ? listener->reuseport_group()->Route(src_port)
                                              : listener;
-  to_server_.Transmit(config_.control_packet_bytes,
-                      [target, src_port] { target->HandleRawSyn(src_port); });
+  to_server_.Transmit(kControlPacketBytes, [target, src_port] { target->HandleRawSyn(src_port); });
 }
 
 }  // namespace scio

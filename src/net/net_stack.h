@@ -20,13 +20,13 @@ class SimListener;
 class SimSocket;
 class TcpTransportHook;
 
+inline constexpr size_t kControlPacketBytes = 40;  // SYN / SYN-ACK / FIN on the wire
+inline constexpr int kFirstClientPort = 1024;
+
 struct NetConfig {
   double bandwidth_bps = 100e6;          // 100 Mbit/s Ethernet
   SimDuration latency = Micros(150);     // one-way propagation + switch
   size_t sndbuf = 64 * 1024;             // per-socket send buffer
-  size_t control_packet_bytes = 40;      // SYN / SYN-ACK / FIN on the wire
-  SimDuration time_wait = kDefaultTimeWait;
-  int first_client_port = 1024;
   int client_port_count = 59000;         // ~60000 sockets at once (§5)
 };
 
@@ -37,7 +37,7 @@ class NetStack {
         config_(config),
         to_server_(&kernel->sim(), config.bandwidth_bps, config.latency),
         to_client_(&kernel->sim(), config.bandwidth_bps, config.latency),
-        ports_(config.first_client_port, config.client_port_count, config.time_wait) {}
+        ports_(kFirstClientPort, config.client_port_count) {}
   NetStack(const NetStack&) = delete;
   NetStack& operator=(const NetStack&) = delete;
 
@@ -66,8 +66,6 @@ class NetStack {
 
   // Direction selector: traffic *from* the client flows toward the server.
   Link& LinkFor(bool toward_server) { return toward_server ? to_server_ : to_client_; }
-  Link& to_server() { return to_server_; }
-  Link& to_client() { return to_client_; }
 
   // Client-side connect: allocates an ephemeral port and launches the SYN.
   // Returns the (client-side) socket, or nullptr when the port space is

@@ -3,8 +3,7 @@
 // The paper (§5) could keep only ~60000 sockets open at once because a closed
 // socket spends sixty seconds in TIME-WAIT before its port can be reused, and
 // had to pace benchmark runs around it. We reproduce that constraint: ports
-// released into TIME-WAIT become reusable only after the configured hold
-// time.
+// released into TIME-WAIT become reusable only after kDefaultTimeWait.
 
 #ifndef SRC_NET_PORT_ALLOCATOR_H_
 #define SRC_NET_PORT_ALLOCATOR_H_
@@ -22,8 +21,7 @@ inline constexpr SimDuration kDefaultTimeWait = Seconds(60);
 class PortAllocator {
  public:
   // Ports [first, first + count) are available.
-  PortAllocator(int first_port, int count, SimDuration time_wait = kDefaultTimeWait)
-      : first_port_(first_port), count_(count), time_wait_(time_wait) {}
+  PortAllocator(int first_port, int count) : first_port_(first_port), count_(count) {}
 
   // Returns a free port, or -1 if every port is open or in TIME-WAIT.
   int Acquire(SimTime now);
@@ -31,20 +29,18 @@ class PortAllocator {
   // Return a port without TIME-WAIT (e.g. connection refused: no TCB existed).
   void ReleaseImmediate(int port);
 
-  // Return a port through TIME-WAIT: reusable at now + time_wait.
+  // Return a port through TIME-WAIT: reusable at now + kDefaultTimeWait.
   void ReleaseTimeWait(int port, SimTime now);
 
   int in_use() const { return in_use_; }
   int in_time_wait(SimTime now);
   int capacity() const { return count_; }
-  SimDuration time_wait() const { return time_wait_; }
 
  private:
   void Reap(SimTime now);
 
   int first_port_;
   int count_;
-  SimDuration time_wait_;
   int next_fresh_ = 0;  // ports never used yet: first_port_ + next_fresh_
   int in_use_ = 0;
   std::deque<int> free_ports_;

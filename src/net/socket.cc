@@ -225,7 +225,7 @@ void SimSocket::CloseInternal() {
       // Send our FIN.
       std::weak_ptr<SimSocket> peer = peer_;
       net_->LinkFor(/*toward_server=*/!server_side_)
-          .Transmit(net_->config().control_packet_bytes, [peer] {
+          .Transmit(kControlPacketBytes, [peer] {
             if (auto p = peer.lock()) {
               p->DeliverEof();
             }

@@ -97,7 +97,6 @@ class SimSocket : public File, public std::enable_shared_from_this<SimSocket> {
 
   // --- wiring (NetStack / SimListener internals) -------------------------------
   void WirePeer(std::shared_ptr<SimSocket> peer) { peer_ = std::move(peer); }
-  void set_state(State s) { state_ = s; }
   void set_port(int port) { port_ = port; }
   void set_remote_port(int port) { remote_port_ = port; }
   std::shared_ptr<SimSocket> peer() const { return peer_.lock(); }

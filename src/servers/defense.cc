@@ -4,6 +4,27 @@
 
 namespace scio {
 
+namespace {
+
+// Pressure signals (any one, or DefenseConfig::drop_delta_threshold chain
+// drops, trips the tick):
+constexpr double kSynqPressureFrac = 0.8;        // half-open queue fill fraction
+constexpr uint64_t kRefusedDeltaThreshold = 10;  // refusals since the last tick
+constexpr double kFdPressureFrac = 0.9;          // worst reported fd-table fill
+// A SYN source band is "hot" when it carried at least this share of the
+// SYNs seen since the last tick (and at least min_band_syns of them).
+constexpr double kBandShare = 0.5;
+// Tier-1 rate limit applied to a hot band.
+constexpr double kBandRatePerSec = 200.0;
+// Bands overlapping [0, kProtectedSrcBelow) are never rule targets. That
+// is the real ephemeral range, where benign clients are indistinguishable
+// from in-band abuse (e.g. a slowloris herd): a band rule there would
+// blocklist the server's own legitimate address space. In-band pressure is
+// handled by cookies and the request-deadline reap instead.
+constexpr int kProtectedSrcBelow = 1 << 16;
+
+}  // namespace
+
 std::vector<std::pair<std::string, uint64_t>> DefenseStats::ToRows() const {
   return {
       {"defense.ticks", ticks},
@@ -48,9 +69,8 @@ bool AdaptiveDefense::ReadPressure() {
   // an attack is being successfully absorbed: without it, a working defense
   // makes the raw signals go quiet, the tier unwinds, and the attack storms
   // back in — a control-loop flap with the attacker as the oscillator.
-  return synq_frac >= config_.synq_pressure_frac || overflow_delta > 0 ||
-         refused_delta > config_.refused_delta_threshold ||
-         pending_fd_frac_ >= config_.fd_pressure_frac ||
+  return synq_frac >= kSynqPressureFrac || overflow_delta > 0 ||
+         refused_delta > kRefusedDeltaThreshold || pending_fd_frac_ >= kFdPressureFrac ||
          drop_delta > config_.drop_delta_threshold;
 }
 
@@ -141,7 +161,7 @@ FilterRule AdaptiveDefense::MakeBandRule(int band, bool harden) const {
     rule.verdict = FilterVerdict::kDrop;
   } else {
     rule.verdict = FilterVerdict::kRateLimit;
-    rule.rate_per_sec = config_.band_rate_per_sec;
+    rule.rate_per_sec = kBandRatePerSec;
     rule.burst = config_.band_burst;
   }
   return rule;
@@ -161,11 +181,11 @@ void AdaptiveDefense::InstallBandRules(
     // Never blocklist the protected (ephemeral) range: benign clients live
     // there, so a hot band below the floor means in-band abuse that only the
     // cookie/reap half of the ladder can handle.
-    if (band * width < config_.protected_src_below) {
+    if (band * width < kProtectedSrcBelow) {
       continue;
     }
     if (count < config_.min_band_syns ||
-        static_cast<double>(count) < config_.band_share * static_cast<double>(total)) {
+        static_cast<double>(count) < kBandShare * static_cast<double>(total)) {
       continue;
     }
     auto it = band_rules_.find(band);

@@ -43,24 +43,14 @@ struct DefenseConfig {
   // Minimum spacing between control decisions; the effective cadence is the
   // slower of this and the callers' sweep interval (Tick rides MaybeSweep).
   SimDuration tick_interval = Millis(500);
-  // Pressure signals (any one trips the tick):
-  double synq_pressure_frac = 0.8;       // half-open queue fill fraction
-  uint64_t refused_delta_threshold = 10; // refusals since the last tick
-  double fd_pressure_frac = 0.9;         // worst reported fd-table fill
-  uint64_t drop_delta_threshold = 50;    // chain drops since the last tick
-  // A SYN source band is "hot" when it carried at least this share of the
-  // SYNs seen since the last tick (and at least min_band_syns of them).
-  double band_share = 0.5;
+  // Chain drops since the last tick that trip it, beside the fixed pressure
+  // signals in defense.cc.
+  uint64_t drop_delta_threshold = 50;
+  // Fewest SYNs since the last tick that make a source band "hot" (it must
+  // also carry kBandShare of them, see defense.cc).
   uint64_t min_band_syns = 50;
-  // Tier-1 rate limit applied to a hot band.
-  double band_rate_per_sec = 200.0;
+  // Burst of the tier-1 rate limit applied to a hot band.
   double band_burst = 64.0;
-  // Bands overlapping [0, protected_src_below) are never rule targets. That
-  // is the real ephemeral range, where benign clients are indistinguishable
-  // from in-band abuse (e.g. a slowloris herd): a band rule there would
-  // blocklist the server's own legitimate address space. In-band pressure is
-  // handled by cookies and the request-deadline reap instead.
-  int protected_src_below = 1 << 16;
   // Consecutive calm ticks before shedding one tier.
   int calm_ticks = 4;
   // Pressure ticks at tier 1 before hardening hot bands to DROP.

@@ -40,8 +40,6 @@ class PhhttpdKqueue : public HttpServerBase {
 
   int SetupEvents() override { return SetupKqueue() < 0 ? -1 : 0; }
 
-  int kqueue_fd() const { return kqfd_; }
-
  protected:
   // One fused kevent (changelist + harvest) and the dispatch of its events.
   // ENOMEM keeps the batch queued; every entry the server emits is

@@ -8,6 +8,20 @@
 
 namespace scio {
 
+namespace {
+
+constexpr size_t kReadChunk = 4096;
+constexpr SimDuration kTimerSweepInterval = Seconds(1);
+// Graceful degradation under descriptor pressure: above the high watermark
+// (fraction of the fd table) the server stops accepting and reaps idle
+// connections on the much shorter pressure timeout; accepting resumes only
+// below the low watermark (hysteresis, so it doesn't flap at the edge).
+constexpr double kFdHighWatermark = 0.92;
+constexpr double kFdLowWatermark = 0.85;
+constexpr SimDuration kPressureIdleTimeout = Seconds(2);
+
+}  // namespace
+
 std::vector<std::pair<std::string, uint64_t>> ServerStats::ToRows() const {
   return {
       {"server.connections_accepted", connections_accepted},
@@ -85,7 +99,7 @@ int HttpServerBase::Setup() {
     return listener_fd_;  // EMFILE: the caller decides whether to retry
   }
   sys_->listener(listener_fd_)->ConfigureSynBacklog(config_.syn_backlog);
-  next_sweep_ = kernel().now() + config_.timer_sweep_interval;
+  next_sweep_ = kernel().now() + kTimerSweepInterval;
   return listener_fd_;
 }
 
@@ -94,7 +108,7 @@ int HttpServerBase::AdoptListener(const std::shared_ptr<SimListener>& listener) 
   if (listener_fd_ < 0) {
     return listener_fd_;
   }
-  next_sweep_ = kernel().now() + config_.timer_sweep_interval;
+  next_sweep_ = kernel().now() + kTimerSweepInterval;
   return listener_fd_;
 }
 
@@ -102,10 +116,10 @@ bool HttpServerBase::UnderFdPressure() {
   const double used = static_cast<double>(sys_->proc().fds().open_count());
   const double capacity = static_cast<double>(sys_->proc().fds().max_fds());
   if (fd_pressure_) {
-    if (used <= capacity * config_.fd_low_watermark) {
+    if (used <= capacity * kFdLowWatermark) {
       fd_pressure_ = false;
     }
-  } else if (used >= capacity * config_.fd_high_watermark) {
+  } else if (used >= capacity * kFdHighWatermark) {
     fd_pressure_ = true;
   }
   return fd_pressure_;
@@ -167,7 +181,7 @@ bool HttpServerBase::HandleReadable(int fd) {
   }
   conns_.Touch(fd, kernel().now());
 
-  const ReadResult r = sys_->Read(fd, config_.read_chunk);
+  const ReadResult r = sys_->Read(fd, kReadChunk);
   if (r.err != 0) {
     // EBADF: our bookkeeping has a conn the fd table doesn't. Drop it.
     CloseConn(fd);
@@ -305,7 +319,7 @@ int HttpServerBase::SweepTimeouts() {
 }
 
 int HttpServerBase::PressureReap() {
-  return ReapIdle(config_.pressure_idle_timeout, /*pressure=*/true);
+  return ReapIdle(kPressureIdleTimeout, /*pressure=*/true);
 }
 
 int HttpServerBase::DeadlineReap(SimDuration deadline) {
@@ -353,7 +367,7 @@ void HttpServerBase::MaybeSweep() {
     ++stats_.accept_retries;
     DrainAccepts();
   }
-  next_sweep_ = kernel().now() + config_.timer_sweep_interval;
+  next_sweep_ = kernel().now() + kTimerSweepInterval;
 }
 
 }  // namespace scio

@@ -27,7 +27,6 @@ class AdaptiveDefense;
 
 struct ServerConfig {
   int listen_backlog = 128;
-  size_t read_chunk = 4096;
   // Half-open (SYN) queue sizing for the listener this server creates via
   // Setup(). Shared listeners installed with AdoptListener keep whatever
   // their creator configured.
@@ -35,14 +34,6 @@ struct ServerConfig {
   // thttpd's default idle timeouts are in the minutes; inactive connections
   // are expected to survive (their clients trickle bytes to stay alive).
   SimDuration idle_timeout = Seconds(60);
-  SimDuration timer_sweep_interval = Seconds(1);
-  // Graceful degradation under descriptor pressure: above the high watermark
-  // (fraction of the fd table) the server stops accepting and reaps idle
-  // connections on the much shorter pressure timeout; accepting resumes only
-  // below the low watermark (hysteresis, so it doesn't flap at the edge).
-  double fd_high_watermark = 0.92;
-  double fd_low_watermark = 0.85;
-  SimDuration pressure_idle_timeout = Seconds(2);
 };
 
 struct ServerStats {

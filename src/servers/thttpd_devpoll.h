@@ -33,8 +33,6 @@ class ThttpdDevPoll : public HttpServerBase {
 
   int SetupEvents() override { return SetupDevPoll() < 0 ? -1 : 0; }
 
-  int devpoll_fd() const { return dpfd_; }
-
  protected:
   void Step(SimTime until) override;
   void OnConnOpened(int fd) override;

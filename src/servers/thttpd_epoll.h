@@ -35,8 +35,6 @@ class ThttpdEpoll : public HttpServerBase {
 
   int SetupEvents() override { return SetupEpoll() < 0 ? -1 : 0; }
 
-  int epoll_fd() const { return epfd_; }
-
  protected:
   void Step(SimTime until) override;
   void OnConnOpened(int fd) override;

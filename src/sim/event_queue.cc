@@ -155,7 +155,7 @@ void EventQueue::CancelAt(uint32_t idx, uint32_t gen) {
   n.cancelled = true;
   --live_count_;
   if (n.state == NodeState::kInDue && due_[due_pos_] == idx) {
-    head_when_ = kNoHead;
+    head_when_ = kHeadCancelled;
   }
   if (observer_ != nullptr) {
     observer_(observer_ctx_, Op::kCancel, n.when, n.seq);
@@ -262,6 +262,9 @@ void EventQueue::Cascade(int level, int index) {
 
 // sciolint: hotpath
 SimTime EventQueue::Resolve() {
+  counters_.head_cancel_resolves += head_when_ == kHeadCancelled;
+  counters_.cancelled_peek_resolves += head_when_ == kPeekCancelled;
+  head_when_ = kNoHead;
   // Drop cancelled events parked at the head of the due run.
   while (due_pos_ < due_.size()) {
     const uint32_t idx = due_[due_pos_];
@@ -302,7 +305,7 @@ SimTime EventQueue::Resolve() {
 
 // sciolint: hotpath
 bool EventQueue::RunNext() {
-  if (head_when_ == kNoHead && Resolve() == kSimTimeNever) {
+  if (head_when_ < 0 && Resolve() == kSimTimeNever) {
     return false;
   }
   // The due-run head is live: fire it.
@@ -319,9 +322,7 @@ bool EventQueue::RunNext() {
   head_when_ = kNoHead;
   if (due_pos_ < due_.size()) {
     const Node& next = node(due_[due_pos_]);
-    if (!next.cancelled) {
-      head_when_ = next.when;
-    }
+    head_when_ = next.cancelled ? kPeekCancelled : next.when;
   }
   callback();
   return true;

@@ -120,7 +120,7 @@ class EventQueue {
     if (observer_ != nullptr) {
       observer_(observer_ctx_, Op::kNextTime, 0, 0);
     }
-    return head_when_ != kNoHead ? head_when_ : Resolve();
+    return head_when_ >= 0 ? head_when_ : Resolve();
   }
 
   // Pop and run the earliest live event. Returns false if the queue is empty.
@@ -134,9 +134,6 @@ class EventQueue {
 
   // Total events ever executed; useful for progress accounting in tests.
   uint64_t executed_count() const { return executed_count_; }
-
-  // Pool introspection (benchmarks assert the zero-alloc steady state).
-  size_t pool_capacity() const { return chunks_.size() * kChunkSize; }
 
   // Bytes of pooled node + callback storage currently held.
   size_t tracked_bytes() const {
@@ -156,10 +153,15 @@ class EventQueue {
   }
 
   // Real-cost counters of the wheel's own work: nodes pushed into a slot
-  // (at scheduling or by a cascade) and occupied-slot searches.
+  // (at scheduling or by a cascade) and occupied-slot searches. And two
+  // thin due-run paths, each counted where a probe or fire resolves it:
+  // a cancelled head whose time NextTime() had cached, and a cancelled
+  // entry that RunNext's peek found next in line.
   struct Counters {
     uint64_t routes = 0;
     uint64_t slot_searches = 0;
+    uint64_t head_cancel_resolves = 0;
+    uint64_t cancelled_peek_resolves = 0;
   };
   const Counters& counters() const { return counters_; }
 
@@ -188,7 +190,11 @@ class EventQueue {
       (63 - kTickBits + kLevelBits - 1) / kLevelBits;
   static constexpr uint32_t kNil = UINT32_MAX;
   static constexpr size_t kChunkSize = 1024;                     // nodes per slab chunk
-  static constexpr SimTime kNoHead = -1;  // head_when_: resolve the due run first
+  // head_when_ values below 0: the due-run head is unknown, resolve it first
+  // (the last two say why, for the counters).
+  static constexpr SimTime kNoHead = -1;
+  static constexpr SimTime kHeadCancelled = -2;  // a Cancel hit the cached head
+  static constexpr SimTime kPeekCancelled = -3;  // RunNext's peek found it cancelled
   static_assert(kTickBits >= 10 && kTickBits <= 16, "keep ticks in the µs range");
 
   enum class NodeState : uint8_t { kFree, kInSlot, kInDue };
@@ -261,7 +267,7 @@ class EventQueue {
   // than current_tick_.
   std::vector<uint32_t> due_;
   size_t due_pos_ = 0;
-  SimTime head_when_ = kNoHead;  // when of the live due-run head, if known
+  SimTime head_when_ = kNoHead;  // when of the live due-run head, if >= 0
 
   uint64_t current_tick_ = 0;  // wheel origin; never moves back
   uint64_t next_seq_ = 0;

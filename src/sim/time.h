@@ -26,8 +26,7 @@ constexpr SimDuration Micros(int64_t us) { return us * 1000; }
 constexpr SimDuration Millis(int64_t ms) { return ms * 1000 * 1000; }
 constexpr SimDuration Seconds(int64_t s) { return s * 1000 * 1000 * 1000; }
 
-// Fractional constructors, for cost-model entries expressed in microseconds.
-constexpr SimDuration MicrosF(double us) { return static_cast<SimDuration>(us * 1e3); }
+// Fractional constructors, for durations read from the command line.
 constexpr SimDuration MillisF(double ms) { return static_cast<SimDuration>(ms * 1e6); }
 constexpr SimDuration SecondsF(double s) { return static_cast<SimDuration>(s * 1e9); }
 

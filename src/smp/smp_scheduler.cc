@@ -107,12 +107,11 @@ SimTime SmpScheduler::ChargeHorizon() const {
 }
 
 void SmpScheduler::ChargeLocal(Ctx& ctx, ChargeCat cat, SimDuration d) {
-  const SimDuration scaled = kernel_->Scaled(d);
   const SimTime at = RunnableAt(ctx);
-  ctx.local_time = at + scaled;
-  cpu_free_at_[ctx.cpu] = at + scaled;
-  cpu_ledgers_[ctx.cpu].Add(cat, scaled);
-  kernel_->AccountSmp(cat, scaled);
+  ctx.local_time = at + d;
+  cpu_free_at_[ctx.cpu] = at + d;
+  cpu_ledgers_[ctx.cpu].Add(cat, d);
+  kernel_->AccountSmp(cat, d);
 }
 
 void SmpScheduler::PromoteWoken() {

@@ -25,6 +25,14 @@ inline bool SeqGe(uint32_t a, uint32_t b) {
   return static_cast<int32_t>(a - b) >= 0;
 }
 
+constexpr SimDuration kMinRto = Millis(200);  // RFC 6298 floor (Linux uses 200 ms)
+constexpr SimDuration kMaxRto = Seconds(4);
+constexpr SimDuration kMinTlp = Millis(10);   // tail-loss probe floor
+constexpr size_t kMaxSegments = 1 << 16;      // bounded retransmit slab, per side
+// Orphaned blocks (socket destroyed, data unacked) give up after this many
+// consecutive RTO backoffs and release their slots.
+constexpr uint8_t kOrphanRtoLimit = 6;
+
 }  // namespace
 
 std::vector<std::pair<std::string, uint64_t>> TransportStats::ToRows() const {
@@ -71,7 +79,7 @@ TransportPlane::TransportPlane(SimKernel* kernel, NetStack* net,
   for (Side* s : {&srv_, &cli_}) {
     s->conns.set_limit(config_.max_connections);
     s->hot.set_limit(config_.max_connections);
-    s->segs.set_limit(config_.max_segments);
+    s->segs.set_limit(kMaxSegments);
   }
   // Only the server machine's memory is on the ledger; the client mirror is
   // out of scope, exactly as client CPU is never charged.
@@ -138,18 +146,6 @@ void TransportPlane::Attach(SimSocket* sock) {
   s.socks[idx] = sock;
   sock->WireTransport(this, static_cast<int32_t>(idx));
   ++stats_.blocks_attached;
-}
-
-void TransportPlane::SetCcKind(SimSocket* sock, CcKind kind) {
-  if (sock == nullptr || sock->transport() != this) {
-    return;
-  }
-  Side& s = side(sock->server_side());
-  const int32_t ci = sock->transport_index();
-  if (ci < 0 || !s.conns.Contains(ci)) {
-    return;
-  }
-  s.conns.At(ci).set_cc_kind(kind);
 }
 
 TcpHot& TransportPlane::EnsureHot(Side& s, TcpConn& c) {
@@ -798,12 +794,12 @@ void TransportPlane::RackDetect(bool server, int32_t ci, TcpConn& c,
 
 SimDuration TransportPlane::CurrentRto(const TcpConn& c) const {
   if (c.srtt_us == 0) {
-    return std::max<SimDuration>(Seconds(1), config_.min_rto);
+    return std::max<SimDuration>(Seconds(1), kMinRto);
   }
   const SimDuration rto =
       Micros(c.srtt_us) + std::max<SimDuration>(4 * Micros(c.rttvar_us),
                                                 Millis(1));
-  return std::clamp(rto, config_.min_rto, config_.max_rto);
+  return std::clamp(rto, kMinRto, kMaxRto);
 }
 
 void TransportPlane::ArmRto(bool server, int32_t ci, TcpConn& c, TcpHot& h) {
@@ -813,10 +809,10 @@ void TransportPlane::ArmRto(bool server, int32_t ci, TcpConn& c, TcpHot& h) {
     return;
   }
   SimDuration rto = CurrentRto(c);
-  for (uint8_t i = 0; i < c.rto_backoff && rto < config_.max_rto; ++i) {
+  for (uint8_t i = 0; i < c.rto_backoff && rto < kMaxRto; ++i) {
     rto *= 2;
   }
-  rto = std::min(rto, config_.max_rto);
+  rto = std::min(rto, kMaxRto);
   const uint32_t gen = side(server).conns.generation(ci);
   h.rto_timer =
       kernel_->sim().ScheduleAfter(rto, [this, server, ci, gen]() {
@@ -834,14 +830,13 @@ void TransportPlane::ArmTlp(bool server, int32_t ci, TcpConn& c, TcpHot& h) {
   }
   SimDuration delay =
       c.srtt_us > 0
-          ? std::max<SimDuration>(2 * Micros(c.srtt_us), config_.min_tlp)
-          : 2 * config_.min_rto;
+          ? std::max<SimDuration>(2 * Micros(c.srtt_us), kMinTlp)
+          : 2 * kMinRto;
   // The probe is only useful if it beats the retransmission timer (RFC 8985
   // §7.2; Linux substitutes the PTO for the RTO timer outright). At RTTs
   // near half the RTO floor 2*srtt ties with the RTO and the tie goes to
   // whichever timer armed first — undercut the RTO by one probe floor.
-  delay = std::max<SimDuration>(std::min(delay, CurrentRto(c) - config_.min_tlp),
-                                config_.min_tlp);
+  delay = std::max<SimDuration>(std::min(delay, CurrentRto(c) - kMinTlp), kMinTlp);
   const uint32_t gen = side(server).conns.generation(ci);
   h.loss_timer.Cancel();
   h.loss_timer =
@@ -892,10 +887,9 @@ void TransportPlane::OnRtoTimer(bool server, int32_t ci, uint32_t gen) {
   }
   ++stats_.rto_fires;
   if (c.rto_backoff < 12) {
-    ++c.rto_backoff;  // exponential backoff, capped at min_rto << 12
+    ++c.rto_backoff;  // exponential backoff, capped at kMinRto << 12
   }
-  if (s.socks[ci] == nullptr &&
-      c.rto_backoff > static_cast<uint8_t>(config_.orphan_rto_limit)) {
+  if (s.socks[ci] == nullptr && c.rto_backoff > kOrphanRtoLimit) {
     // An orphan (socket destroyed, data never acked) gives up: the peer is
     // not coming back, and the slab slots must not leak.
     ++stats_.orphans_abandoned;
@@ -1004,7 +998,7 @@ void TransportPlane::SendFin(bool /*server*/, int32_t /*ci*/, TcpConn& c,
   // reliable as the pre-transport model so close()d connections cannot wedge
   // the load generator under loss. Sequencing still holds — the receiver
   // parks the FIN until rcv_nxt reaches fin_seq.
-  net_->LinkFor(ps).Transmit(net_->config().control_packet_bytes,
+  net_->LinkFor(ps).Transmit(kControlPacketBytes,
                              [this, ps, pi, pg, fin_seq]() {
                                OnFinSegment(ps, pi, pg, fin_seq);
                              });

@@ -50,14 +50,7 @@ struct TransportConfig {
   // Seeded one-way delivery jitter drawn per data segment, U[0, jitter];
   // exercises the RTT estimator. 0 draws nothing (pure no-op).
   SimDuration delivery_jitter = 0;
-  SimDuration min_rto = Millis(200);   // RFC 6298 floor (Linux uses 200 ms)
-  SimDuration max_rto = Seconds(4);
-  SimDuration min_tlp = Millis(10);    // tail-loss probe floor
   size_t max_connections = 1 << 20;
-  size_t max_segments = 1 << 16;       // bounded retransmit slab, per side
-  // Orphaned blocks (socket destroyed, data unacked) give up after this many
-  // consecutive RTO backoffs and release their slots.
-  int orphan_rto_limit = 6;
 };
 
 // Plane-local counters; FaultStats still owns wire-level loss counts.
@@ -104,10 +97,6 @@ class TransportPlane : public TcpTransportHook {
   void Send(SimSocket* sock, Chunk chunk) override;
   void OnSocketClose(SimSocket* sock) override;
   void OnSocketDestroyed(SimSocket* sock) override;
-
-  // Per-socket stack selection (defaults to config.default_cc at attach).
-  // Call before data flows; switching mid-flight keeps the scoreboard.
-  void SetCcKind(SimSocket* sock, CcKind kind);
 
   // Scripted loss hook for tests and the recovery-time bench: return true to
   // drop this data-segment transmission. Runs before the fault plane and

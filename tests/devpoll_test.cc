@@ -96,7 +96,7 @@ TEST_F(DevPollTest, PollRemoveDeletesInterest) {
   EXPECT_TRUE(PollNow().empty()) << "removed interest reports nothing";
 }
 
-TEST_F(DevPollTest, EventsFieldReplacesByDefault) {
+TEST_F(DevPollTest, EventsFieldReplacesInterest) {
   Open();
   auto [client, fd] = EstablishedPair();
   WriteOne(fd, kPollIn);
@@ -104,18 +104,6 @@ TEST_F(DevPollTest, EventsFieldReplacesByDefault) {
   const Interest* interest = device_->FindInterest(fd);
   ASSERT_NE(interest, nullptr);
   EXPECT_EQ(interest->events, kPollOut) << "paper §3.1: replace, not OR";
-}
-
-TEST_F(DevPollTest, SolarisModeOrsEvents) {
-  DevPollOptions options;
-  options.solaris_or_semantics = true;
-  Open(options);
-  auto [client, fd] = EstablishedPair();
-  WriteOne(fd, kPollIn);
-  WriteOne(fd, kPollOut);
-  const Interest* interest = device_->FindInterest(fd);
-  ASSERT_NE(interest, nullptr);
-  EXPECT_EQ(interest->events, kPollIn | kPollOut);
 }
 
 TEST_F(DevPollTest, MultipleIndependentSets) {
@@ -424,11 +412,10 @@ TEST_F(DevPollTest, HintLandingMidScanIsReportedBySameScan) {
   // interest's scan charge. A DP_POLL with one charge per interest sees the
   // hint before it reaches that file, and so must the folded scan.
   const CostModel& cost = kernel_.cost();
-  const SimDuration unit = kernel_.Scaled(cost.devpoll_scan_per_interest);
-  const SimTime scan_start =
-      kernel_.now() + kernel_.pending_interrupt_debt() +
-      kernel_.Scaled(cost.syscall_entry) + kernel_.Scaled(cost.devpoll_ioctl_extra) +
-      kernel_.Scaled(cost.devpoll_lock_acquire);
+  const SimDuration unit = cost.devpoll_scan_per_interest;
+  const SimTime scan_start = kernel_.now() + kernel_.pending_interrupt_debt() +
+                             cost.syscall_entry + cost.devpoll_ioctl_extra +
+                             cost.devpoll_lock_acquire;
   const uint64_t scanned_before = kernel_.stats().devpoll_interests_scanned;
   uint64_t scanned_at_hint = 0;
   sim_.ScheduleAt(scan_start + unit + unit / 2, [&] {

@@ -251,7 +251,6 @@ class DefenseTest : public SimWorldTest {
     config.drop_delta_threshold = 10;
     config.sustain_ticks = 3;
     config.calm_ticks = 2;
-    config.band_rate_per_sec = 200.0;
     config.band_burst = 16.0;
     return config;
   }

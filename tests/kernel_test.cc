@@ -284,15 +284,6 @@ TEST_F(KernelFixture, DebtFoldsIntoNextCharge) {
   EXPECT_EQ(kernel.pending_interrupt_debt(), 0);
 }
 
-TEST_F(KernelFixture, CpuScaleMultipliesCharges) {
-  CostModel cost;
-  cost.cpu_scale = 2.0;
-  SimKernel scaled(&sim, cost);
-  scaled.Charge(Micros(10), ChargeCat::kOther);
-  EXPECT_EQ(scaled.now(), sim.now());
-  EXPECT_EQ(scaled.busy_time(), Micros(20));
-}
-
 // --- charge runs ------------------------------------------------------------------
 //
 // ChargeRepeated(d, cat, n) must leave a kernel exactly where n Charge(d, cat)
@@ -300,12 +291,6 @@ TEST_F(KernelFixture, CpuScaleMultipliesCharges) {
 // the pending debt paid once.
 
 struct TwinKernels {
-  explicit TwinKernels(double cpu_scale) {
-    CostModel cost;
-    cost.cpu_scale = cpu_scale;
-    run = std::make_unique<SimKernel>(&run_sim, cost);
-    unit = std::make_unique<SimKernel>(&unit_sim, cost);
-  }
   // The same pending interrupt debt, in two categories, on both kernels.
   void AddDebt(SimDuration d) {
     for (SimKernel* k : {run.get(), unit.get()}) {
@@ -322,17 +307,15 @@ struct TwinKernels {
   }
   Simulator run_sim;
   Simulator unit_sim;
-  std::unique_ptr<SimKernel> run;
-  std::unique_ptr<SimKernel> unit;
+  std::unique_ptr<SimKernel> run = std::make_unique<SimKernel>(&run_sim);
+  std::unique_ptr<SimKernel> unit = std::make_unique<SimKernel>(&unit_sim);
 };
 
-class ChargeRunTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(ChargeRunTest, RunMatchesPerUnitChargesWithPendingDebt) {
-  TwinKernels twins(GetParam());
+TEST(ChargeRunTest, RunMatchesPerUnitChargesWithPendingDebt) {
+  TwinKernels twins;
   twins.AddDebt(Micros(7) + 1);
   constexpr uint64_t kUnits = 1000;
-  constexpr SimDuration kUnit = 41;  // 41 × 1.37 = 56.17: the rounding shows
+  constexpr SimDuration kUnit = 41;
   ASSERT_GE(twins.run->DeferrableCharges(kUnit), kUnits) << "empty queue";
   twins.run->ChargeRepeated(kUnit, ChargeCat::kDevpollScan, kUnits);
   for (uint64_t i = 0; i < kUnits; ++i) {
@@ -340,14 +323,13 @@ TEST_P(ChargeRunTest, RunMatchesPerUnitChargesWithPendingDebt) {
   }
   twins.ExpectSame();
   EXPECT_EQ(twins.run->attribution()[ChargeCat::kDevpollScan],
-            static_cast<SimDuration>(kUnits) * twins.run->Scaled(kUnit))
-      << "n·Scaled(d), not Scaled(n·d)";
+            static_cast<SimDuration>(kUnits) * kUnit);
 }
 
-TEST_P(ChargeRunTest, RunAcrossEventsMatchesPerUnitCharges) {
+TEST(ChargeRunTest, RunAcrossEventsMatchesPerUnitCharges) {
   // Events inside the run's span add interrupt debt, which the following
   // units pay: a run past the horizon must split there.
-  TwinKernels twins(GetParam());
+  TwinKernels twins;
   twins.AddDebt(Micros(3));
   std::vector<SimTime> fired_run;
   std::vector<SimTime> fired_unit;
@@ -371,14 +353,14 @@ TEST_P(ChargeRunTest, RunAcrossEventsMatchesPerUnitCharges) {
   EXPECT_EQ(fired_run.size(), 4u);
 }
 
-TEST_P(ChargeRunTest, EventAtHorizonFiresOnTheSameUnit) {
-  TwinKernels twins(GetParam());
+TEST(ChargeRunTest, EventAtHorizonFiresOnTheSameUnit) {
+  TwinKernels twins;
   twins.AddDebt(Micros(5));
   constexpr SimDuration kUnit = 100;
   constexpr uint64_t kJ = 37;
   // Exactly now + debt + j·s: per-unit charges run it on unit j.
   const SimTime at = twins.run->now() + twins.run->pending_interrupt_debt() +
-                     static_cast<SimDuration>(kJ) * twins.run->Scaled(kUnit);
+                     static_cast<SimDuration>(kJ) * kUnit;
   int fired_run = 0;
   int fired_unit = 0;
   twins.run_sim.ScheduleAt(at, [&fired_run] { ++fired_run; });
@@ -401,8 +383,6 @@ TEST_P(ChargeRunTest, EventAtHorizonFiresOnTheSameUnit) {
   EXPECT_EQ(fired_run, 1);
   twins.ExpectSame();
 }
-
-INSTANTIATE_TEST_SUITE_P(CpuScales, ChargeRunTest, ::testing::Values(1.0, 1.37));
 
 TEST_F(KernelFixture, EmptyChargeRunDoesNothing) {
   kernel.ChargeDebt(Micros(4), ChargeCat::kInterrupt);

@@ -234,28 +234,15 @@ BenchmarkRunConfig RetryStormConfig() {
   return config;
 }
 
-TEST(BenchmarkRunTest, RetryJitterDrawsNothingWhenZero) {
-  // jitter = 0 (the default) must not consume RNG draws: two runs are
-  // byte-identical, the contract that keeps every pre-jitter baseline stable.
+TEST(BenchmarkRunTest, RetryStormIsDeterministic) {
+  // Retries back off on a fixed, unjittered schedule: two runs of the same
+  // storm are byte-identical.
   const BenchmarkRunConfig config = RetryStormConfig();
   const BenchmarkResult a = RunBenchmark(config);
   const BenchmarkResult b = RunBenchmark(config);
   EXPECT_GT(a.client_retries, 0u) << "the storm must actually cause retries";
   EXPECT_EQ(a.client_retries, b.client_retries);
   EXPECT_EQ(a.signature, b.signature);
-}
-
-TEST(BenchmarkRunTest, RetryJitterIsSeededAndDeterministic) {
-  BenchmarkRunConfig config = RetryStormConfig();
-  config.active.retry_jitter = 0.5;
-  const BenchmarkResult a = RunBenchmark(config);
-  const BenchmarkResult b = RunBenchmark(config);
-  EXPECT_GT(a.client_retries, 0u);
-  EXPECT_EQ(a.client_retries, b.client_retries);
-  EXPECT_EQ(a.signature, b.signature);
-  // And the knob is live: a jittered timeline differs from the unjittered one.
-  const BenchmarkResult plain = RunBenchmark(RetryStormConfig());
-  EXPECT_NE(a.signature, plain.signature);
 }
 
 TEST(BenchmarkRunTest, DevPollBeatsStockPollUnderInactiveLoad) {

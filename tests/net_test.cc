@@ -51,20 +51,20 @@ TEST(LinkTest, IdleGapResetsQueue) {
 // --- PortAllocator ---------------------------------------------------------------
 
 TEST(PortAllocatorTest, ExhaustionAndTimeWaitReuse) {
-  PortAllocator ports(1000, 2, /*time_wait=*/Millis(100));
+  PortAllocator ports(1000, 2);
   const int a = ports.Acquire(0);
   const int b = ports.Acquire(0);
   EXPECT_GE(a, 1000);
   EXPECT_GE(b, 1000);
   EXPECT_EQ(ports.Acquire(0), -1) << "all ports busy";
   ports.ReleaseTimeWait(a, 0);
-  EXPECT_EQ(ports.Acquire(Millis(50)), -1) << "port still in TIME-WAIT";
-  EXPECT_EQ(ports.in_time_wait(Millis(50)), 1);
-  EXPECT_EQ(ports.Acquire(Millis(100)), a) << "reusable after the hold time";
+  EXPECT_EQ(ports.Acquire(kDefaultTimeWait - 1), -1) << "port still in TIME-WAIT";
+  EXPECT_EQ(ports.in_time_wait(kDefaultTimeWait - 1), 1);
+  EXPECT_EQ(ports.Acquire(kDefaultTimeWait), a) << "reusable after the hold time";
 }
 
 TEST(PortAllocatorTest, ImmediateReleaseSkipsTimeWait) {
-  PortAllocator ports(1000, 1, Seconds(60));
+  PortAllocator ports(1000, 1);
   const int a = ports.Acquire(0);
   ports.ReleaseImmediate(a);
   EXPECT_EQ(ports.Acquire(1), a);
@@ -74,12 +74,12 @@ class PortChurnTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PortChurnTest, SteadyChurnNeverExceedsCapacity) {
   const int capacity = GetParam();
-  PortAllocator ports(2000, capacity, Millis(10));
+  PortAllocator ports(2000, capacity);
   SimTime now = 0;
   std::vector<int> open;
   int acquired = 0;
   for (int step = 0; step < 1000; ++step) {
-    now += Millis(1);
+    now += kDefaultTimeWait / 10;  // a released port comes back 10 steps later
     if (const int port = ports.Acquire(now); port >= 0) {
       open.push_back(port);
       ++acquired;

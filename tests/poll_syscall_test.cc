@@ -76,10 +76,9 @@ TEST_F(PollSyscallTest, FileTurningReadyMidScanIsReportedBySameCall) {
     ASSERT_GE(pfds.back().fd, 0);
   }
   const CostModel& cost = kernel_.cost();
-  const SimDuration unit = kernel_.Scaled(cost.poll_driver_poll_per_fd);
-  const SimTime scan_start =
-      kernel_.now() + kernel_.pending_interrupt_debt() +
-      kernel_.Scaled(cost.syscall_entry + cost.poll_copyin_per_fd * kFiles);
+  const SimDuration unit = cost.poll_driver_poll_per_fd;
+  const SimTime scan_start = kernel_.now() + kernel_.pending_interrupt_debt() +
+                             cost.syscall_entry + cost.poll_copyin_per_fd * kFiles;
   sim_.ScheduleAt(scan_start + unit + unit / 2, [&] { files.back()->SetMask(kPollIn); });
   EXPECT_EQ(sys_.Poll(pfds, 0), 1);
   EXPECT_EQ(pfds.back().revents, kPollIn);

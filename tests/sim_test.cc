@@ -459,6 +459,25 @@ TEST(EventQueueTest, CountersTrackWheelWork) {
   EXPECT_EQ(queue.counters().slot_searches, 3u);
 }
 
+TEST(EventQueueTest, CountersTrackCancelledDueRunHeads) {
+  EventQueue queue;
+  // All three lie in the origin's tick, so they join one due run.
+  EventHandle first = queue.Schedule(10, [] {});
+  queue.Schedule(20, [] {});
+  EventHandle third = queue.Schedule(30, [] {});
+  EXPECT_EQ(queue.NextTime(), 10);
+  first.Cancel();  // the head whose time NextTime() cached
+  EXPECT_EQ(queue.NextTime(), 20);
+  EXPECT_EQ(queue.NextTime(), 20);
+  EXPECT_EQ(queue.counters().head_cancel_resolves, 1u) << "resolved once, by the next probe";
+  third.Cancel();  // behind the head: the cached time still holds
+  EXPECT_TRUE(queue.RunNext());  // fires 20, and its peek finds 30 cancelled
+  EXPECT_EQ(queue.NextTime(), kSimTimeNever);
+  EXPECT_EQ(queue.NextTime(), kSimTimeNever);
+  EXPECT_EQ(queue.counters().head_cancel_resolves, 1u);
+  EXPECT_EQ(queue.counters().cancelled_peek_resolves, 1u);
+}
+
 TEST(SimulatorTest, AdvanceToRunsDueEventsAndSetsClock) {
   Simulator sim;
   std::vector<SimTime> seen;

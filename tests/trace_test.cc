@@ -93,22 +93,6 @@ TEST(AttributionInvariantTest, DebtAbsorbedByIdleIsNeverAttributed) {
   EXPECT_EQ(kernel.attribution().Sum(), kernel.busy_time());
 }
 
-TEST(AttributionInvariantTest, HoldsUnderFractionalCpuScale) {
-  // Scaled(a) + Scaled(b) != Scaled(a+b) in general; the ledger must absorb
-  // the rounding remainder rather than drift from busy_time().
-  CostModel cost;
-  cost.cpu_scale = 0.37;
-  Simulator sim;
-  SimKernel kernel(&sim, cost);
-  for (int i = 0; i < 100; ++i) {
-    kernel.Charge({{ChargeCat::kSyscallEntry, Nanos(333)},
-                   {ChargeCat::kReadCopy, Nanos(77)},
-                   {ChargeCat::kSendBytes, Nanos(1)}});
-  }
-  EXPECT_GT(kernel.busy_time(), 0);
-  EXPECT_EQ(kernel.attribution().Sum(), kernel.busy_time());
-}
-
 // --- flight recorder --------------------------------------------------------------
 
 TEST(FlightRecorderTest, RingOverwritesOldestAndCountsDrops) {
