@@ -23,8 +23,11 @@
 // wheel's NextTime() answers against the same stream replayed into
 // HeapQueue, or the wheel's replay against the recording. Also exits 1 if
 // transport_loss1 resolves no cancelled peek or smp_1cpu no cancelled
-// cached head: each is the one leg whose order check covers that path.
-// Timings never fail it.
+// cached head: each is the one leg whose order check covers that path. And
+// it exits 1 if a leg's allocs_per_conn passes that leg's ceiling: the
+// count repeats exactly for one toolchain, and the ceilings sit ~30% above
+// the allocation-free connection path's values, so a new allocation per
+// connection on the socket path fails it. Timings never fail it.
 
 #include <algorithm>
 #include <chrono>
@@ -335,10 +338,10 @@ double Median(std::vector<double> v) {
 }
 
 // Records `config` as replay_<name>, checks its order and times it. Returns
-// false, after saying why on stderr, if the leg fails the order gate or
-// misses `must_reach` (if given).
+// false, after saying why on stderr, if the leg fails the order gate, misses
+// `must_reach` (if given) or allocates more than `max_allocs_per_conn`.
 bool RunLeg(const char* name, const scio::BenchmarkRunConfig& config,
-            const ThinPath* must_reach, Row* row) {
+            const ThinPath* must_reach, double max_allocs_per_conn, Row* row) {
   row->name = std::string("replay_") + name;
   const char* label = row->name.c_str();
   EngineOpLog log;
@@ -416,7 +419,12 @@ bool RunLeg(const char* name, const scio::BenchmarkRunConfig& config,
     std::fprintf(stderr, "%s: %s is 0, so no leg checks that path\n", label,
                  must_reach->counter);
   }
-  return recorded_in_order && probes_agree && replay_in_order && reaches;
+  const bool lean = row->allocs_per_conn <= max_allocs_per_conn;
+  if (!lean) {
+    std::fprintf(stderr, "%s: %.2f heap allocations per connection, above the ceiling of %.1f\n",
+                 label, row->allocs_per_conn, max_allocs_per_conn);
+  }
+  return recorded_in_order && probes_agree && replay_in_order && reaches && lean;
 }
 
 void WriteJson(FILE* f, const std::vector<Row>& rows) {
@@ -444,22 +452,27 @@ void WriteJson(FILE* f, const std::vector<Row>& rows) {
 
 int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_engine.json";
+  // Ceilings on allocs_per_conn: the fig15 leg's is the socket path's
+  // target, at most 3 per connection; transport_loss1 adds the transport
+  // plane's segment copies and SACK map.
   const struct {
     const char* name;
     scio::BenchmarkRunConfig config;
     const ThinPath* must_reach;
+    double max_allocs_per_conn;
   } legs[] = {
-      {"fig15", Fig15Leg(), nullptr},
-      {"transport_loss1", TransportLoss1Leg(), &kCancelledPeek},
-      {"smp_sharded", SmpShardedLeg(), nullptr},
-      {"smp_1cpu", SmpOneCpuLeg(), &kHeadCancel},
-      {"torture_pkt_loss", TorturePktLossLeg(), nullptr},
+      {"fig15", Fig15Leg(), nullptr, 3.0},
+      {"transport_loss1", TransportLoss1Leg(), &kCancelledPeek, 7.5},
+      {"smp_sharded", SmpShardedLeg(), nullptr, 3.0},
+      {"smp_1cpu", SmpOneCpuLeg(), &kHeadCancel, 4.0},
+      {"torture_pkt_loss", TorturePktLossLeg(), nullptr, 3.5},
   };
-  bool in_order = true;
+  bool passed = true;
   std::vector<Row> rows;
   for (const auto& leg : legs) {
     Row row;
-    in_order = RunLeg(leg.name, leg.config, leg.must_reach, &row) && in_order;
+    passed = RunLeg(leg.name, leg.config, leg.must_reach, leg.max_allocs_per_conn, &row) &&
+               passed;
     rows.push_back(row);
   }
   FILE* f = std::fopen(out_path, "w");
@@ -470,5 +483,5 @@ int main(int argc, char** argv) {
   WriteJson(f, rows);
   std::fclose(f);
   WriteJson(stdout, rows);
-  return in_order ? 0 : 1;
+  return passed ? 0 : 1;
 }

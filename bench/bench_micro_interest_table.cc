@@ -13,8 +13,7 @@ void BM_InsertSequential(benchmark::State& state) {
   for (auto _ : state) {
     scio::InterestHashTable table;
     for (int fd = 0; fd < n; ++fd) {
-      bool inserted;
-      benchmark::DoNotOptimize(table.FindOrInsert(fd, &inserted));
+      benchmark::DoNotOptimize(table.FindOrInsert(fd));
     }
     benchmark::DoNotOptimize(table.bucket_count());
   }
@@ -26,8 +25,7 @@ void BM_Lookup(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   scio::InterestHashTable table;
   for (int fd = 0; fd < n; ++fd) {
-    bool inserted;
-    table.FindOrInsert(fd, &inserted);
+    table.FindOrInsert(fd);
   }
   int fd = 0;
   for (auto _ : state) {
@@ -42,13 +40,11 @@ void BM_ChurnInsertErase(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   scio::InterestHashTable table;
   for (int fd = 0; fd < n; ++fd) {
-    bool inserted;
-    table.FindOrInsert(fd, &inserted);
+    table.FindOrInsert(fd);
   }
   int fd = n;
   for (auto _ : state) {
-    bool inserted;
-    table.FindOrInsert(fd, &inserted);
+    table.FindOrInsert(fd);
     table.Erase(fd - n);  // keep the population constant
     ++fd;
   }
@@ -60,8 +56,7 @@ void BM_FullScan(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   scio::InterestHashTable table;
   for (int fd = 0; fd < n; ++fd) {
-    bool inserted;
-    table.FindOrInsert(fd, &inserted);
+    table.FindOrInsert(fd);
   }
   for (auto _ : state) {
     uint64_t sum = 0;

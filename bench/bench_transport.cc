@@ -243,12 +243,13 @@ RecoveryOutcome RunRecoveryTrial(const RecoveryTrial& trial, CcKind cc) {
   const std::string body = MakePattern(trial.body_segments * kTcpMss);
   std::string received;
   client->on_data = [&received, client = client](size_t) {
+    std::string chunk;
     for (;;) {
-      ReadResult r = client->Read(1 << 20);
+      ReadResult r = client->Read(1 << 20, &chunk);
       if (r.n == 0) {
         break;
       }
-      received.append(r.data);
+      received.append(chunk);
     }
   };
   const SimTime start = w.sim.now();

@@ -74,8 +74,9 @@ int main() {
         PollFd conn_interest{conn_fd, kPollIn, 0};
         must(sys.DevPollWrite(dp, {&conn_interest, 1}), "DP write(conn)");
       } else if (results[i].fd == conn_fd) {
-        const ReadResult r = sys.Read(conn_fd, 4096);
-        std::cout << "request: " << r.data.substr(0, r.data.find('\r')) << "\n";
+        std::string request;
+        (void)sys.Read(conn_fd, 4096, &request);
+        std::cout << "request: " << request.substr(0, request.find('\r')) << "\n";
         must(sys.Write(conn_fd, BuildHttpOkResponse(6 * 1024)), "write(conn)");
         // Retire the interest with POLLREMOVE before closing (§3.1).
         PollFd remove{conn_fd, kPollRemove, 0};

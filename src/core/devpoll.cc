@@ -55,8 +55,18 @@ void DevPollDevice::BindInterest(Interest& interest) {
   interest.hintable = options_.hints_enabled && current->SupportsPollHints();
   if (interest.hintable) {
     ++hintable_;
-    interest.link = std::make_unique<BackmapLink>(this, interest.fd, interest.file);
+    if (spare_links_.empty()) {
+      interest.link.reset(new BackmapLink(this));
+    } else {
+      interest.link.reset(spare_links_.back().release());
+      spare_links_.pop_back();
+    }
+    interest.link->Arm(interest.fd, interest.file);
   }
+}
+
+void BackmapLinkRecycler::operator()(BackmapLink* link) const {
+  link->device()->RecycleLink(link);
 }
 
 void BackmapLink::OnFileStatus(File& file, PollEvents mask) {
@@ -120,8 +130,7 @@ long DevPollDevice::WriteInternal(std::span<const PollFd> updates) {
       table_.Erase(update.fd);
       continue;
     }
-    bool inserted = false;
-    Interest& interest = table_.FindOrInsert(update.fd, &inserted);
+    Interest& interest = table_.FindOrInsert(update.fd);
     // Paper §3.1: "the contents of the events field replace the previous
     // interest, unlike the Solaris implementation".
     interest.events = update.events;

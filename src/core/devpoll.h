@@ -106,6 +106,12 @@ class DevPollDevice : public File {
   // one by one — the reference walk the scan index must match.
   void MarkEveryBucket() { table_.MarkAll(); }
 
+  // Unregister a link its interest let go of and keep it for reuse.
+  void RecycleLink(BackmapLink* link) {
+    link->Disarm();
+    spare_links_.emplace_back(link);
+  }
+
  private:
   // Syscall bodies without the trap charge, shared with the fused ioctl.
   long WriteInternal(std::span<const PollFd> updates);
@@ -125,6 +131,9 @@ class DevPollDevice : public File {
 
   Process* owner_;
   DevPollOptions options_;
+  // Links given back by erased and rebound interests, for BindInterest to
+  // reuse. Declared before table_, whose links come back here as it dies.
+  std::vector<std::unique_ptr<BackmapLink>> spare_links_;
   InterestHashTable table_;
   std::vector<PollFd> result_area_;
   bool alloc_done_ = false;

@@ -82,9 +82,8 @@ InterestHashTable::Node* InterestHashTable::TakeNode() {
   return slab_.back().get();
 }
 
-Interest& InterestHashTable::FindOrInsert(int fd, bool* inserted) {
+Interest& InterestHashTable::FindOrInsert(int fd) {
   if (Interest* found = Find(fd)) {
-    *inserted = false;
     return *found;
   }
   assert(!iterating_ && "must not insert during InterestHashTable::ForEach");
@@ -104,7 +103,6 @@ Interest& InterestHashTable::FindOrInsert(int fd, bool* inserted) {
   ++group_entries_[bucket / 64];
   MarkBucket(bucket);  // never scanned yet
   ++size_;
-  *inserted = true;
   return node->interest;
 }
 

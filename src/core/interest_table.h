@@ -65,7 +65,7 @@ struct Interest {
   bool hintable = false;   // the bound driver participates in hinting
 
   // Owns the registration of this interest on the file's listener list.
-  std::unique_ptr<BackmapLink> link;
+  BackmapLinkPtr link;
 };
 static_assert(sizeof(void*) != 8 || sizeof(Interest) == 40,
               "Interest grew: every byte counts toward bytes/connection");
@@ -112,10 +112,9 @@ class InterestHashTable {
   // later inserts (see header comment) until Erase(fd).
   Interest* Find(int fd);
 
-  // Returns the interest for fd, inserting a default one if absent.
-  // `inserted` reports whether a new entry was created. The reference stays
-  // valid across later inserts until Erase(fd).
-  Interest& FindOrInsert(int fd, bool* inserted);
+  // Returns the interest for fd, inserting a default one if absent. The
+  // reference stays valid across later inserts until Erase(fd).
+  Interest& FindOrInsert(int fd);
 
   // Returns true if an entry was removed.
   bool Erase(int fd);

@@ -20,13 +20,14 @@ int Sys::Listen(int backlog) {
   return fd;
 }
 
+// sciolint: hotpath
 int Sys::Accept(int listener_fd) {
   SyscallTraceScope trace(kernel_, "accept", listener_fd);
   KernelStats& stats = kernel_->stats();
   ++stats.syscalls;
   ++stats.accepts;
   kernel_->Charge(kernel_->cost().syscall_entry, ChargeCat::kSyscallEntry);
-  auto listener = std::dynamic_pointer_cast<SimListener>(proc_->fds().Get(listener_fd));
+  auto* listener = static_cast<SimListener*>(PeekKind(listener_fd, FileKind::kListener));
   if (listener == nullptr) {
     trace.set_result(kErrBadF);
     return kErrBadF;
@@ -55,21 +56,22 @@ int Sys::Accept(int listener_fd) {
   return fd;
 }
 
-ReadResult Sys::Read(int fd, size_t max_bytes) {
+// sciolint: hotpath
+ReadResult Sys::Read(int fd, size_t max_bytes, std::string* data) {
   SyscallTraceScope trace(kernel_, "read", fd);
   KernelStats& stats = kernel_->stats();
   ++stats.syscalls;
   ++stats.reads;
   kernel_->Charge({{ChargeCat::kSyscallEntry, kernel_->cost().syscall_entry},
                    {ChargeCat::kReadCopy, kernel_->cost().read_extra}});
-  auto socket = std::dynamic_pointer_cast<SimSocket>(proc_->fds().Get(fd));
+  auto* socket = static_cast<SimSocket*>(PeekKind(fd, FileKind::kSocket));
   if (socket == nullptr) {
     ReadResult bad;
     bad.err = kErrBadF;
     trace.set_result(kErrBadF);
     return bad;
   }
-  ReadResult result = socket->Read(max_bytes);
+  ReadResult result = socket->Read(max_bytes, data);
   stats.bytes_read += result.n;
   kernel_->Charge(kernel_->cost().read_per_byte * static_cast<SimDuration>(result.n),
                   ChargeCat::kReadCopy);
@@ -77,14 +79,15 @@ ReadResult Sys::Read(int fd, size_t max_bytes) {
   return result;
 }
 
-long Sys::Write(int fd, Chunk chunk) {
+// sciolint: hotpath
+long Sys::Write(int fd, Chunk&& chunk) {
   SyscallTraceScope trace(kernel_, "write", fd);
   KernelStats& stats = kernel_->stats();
   ++stats.syscalls;
   ++stats.writes;
   kernel_->Charge({{ChargeCat::kSyscallEntry, kernel_->cost().syscall_entry},
                    {ChargeCat::kSendBytes, kernel_->cost().write_extra}});
-  auto socket = std::dynamic_pointer_cast<SimSocket>(proc_->fds().Get(fd));
+  auto* socket = static_cast<SimSocket*>(PeekKind(fd, FileKind::kSocket));
   if (socket == nullptr) {
     trace.set_result(-1);
     return -1;

@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 
 #include "src/core/devpoll.h"
 #include "src/core/epoll_core.h"
@@ -48,12 +49,14 @@ class Sys {
   [[nodiscard]] int Accept(int listener_fd);
 
   // read(): ReadResult.n == 0 with eof=false means EAGAIN; a bad fd sets
-  // result.err = kErrBadF instead of asserting.
-  [[nodiscard]] ReadResult Read(int fd, size_t max_bytes);
+  // result.err = kErrBadF instead of asserting. The real bytes read replace
+  // `*data` (the caller's buffer), or are dropped if `data` is null.
+  [[nodiscard]] ReadResult Read(int fd, size_t max_bytes, std::string* data = nullptr);
 
   // write(): returns bytes accepted (0 = would block), -1 on a bad fd, or
-  // kErrPipe when the connection can no longer carry data.
-  [[nodiscard]] long Write(int fd, Chunk chunk);
+  // kErrPipe when the connection can no longer carry data. The accepted
+  // bytes leave `chunk` (SimSocket::Write); on an error it is untouched.
+  [[nodiscard]] long Write(int fd, Chunk&& chunk);
 
   // close(): returns 0 or -1 (EBADF).
   [[nodiscard]] int Close(int fd);
@@ -112,6 +115,13 @@ class Sys {
  private:
   template <typename Device, typename... Args>
   int OpenDevice(const char* trace_name, Args... args);
+
+  // The file open under `fd` if it is of `kind`, else nullptr (EBADF). No
+  // reference is taken: only for calls that run no event while they use it.
+  File* PeekKind(int fd, FileKind kind) const {
+    File* file = proc_->fds().Peek(fd);
+    return file != nullptr && file->kind() == kind ? file : nullptr;
+  }
 
   SimKernel* kernel_;
   Process* proc_;

@@ -31,10 +31,10 @@ class ResponseReader {
   size_t body_received() const { return body_received_; }
 
  private:
-  State ParseHeader();
+  State ParseHeader(std::string_view header);
 
   State state_ = State::kHeader;
-  std::string header_;
+  std::string header_;  // a header split across fragments, gathered
   size_t pending_synthetic_ = 0;  // synthetic bytes seen while still in header
   int status_code_ = 0;
   size_t content_length_ = 0;

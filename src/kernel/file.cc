@@ -7,13 +7,17 @@
 
 namespace scio {
 
+// sciolint: hotpath
 void File::NotifyStatus(PollEvents mask) {
   // 1. Backmap hints and other listeners run first (driver context).
   //    Snapshot: a listener callback must not mutate the list re-entrantly,
-  //    but hint marking can wake processes whose reaction could.
-  std::vector<StatusListener*> snapshot = listeners_;
-  for (StatusListener* l : snapshot) {
-    l->OnFileStatus(*this, mask);
+  //    but hint marking can wake processes whose reaction could. The
+  //    snapshot lives on the stack unless the file has over 8 listeners.
+  if (!listeners_.empty()) {
+    const SmallVector<StatusListener*, 8> snapshot(listeners_.begin(), listeners_.size());
+    for (StatusListener* l : snapshot) {
+      l->OnFileStatus(*this, mask);
+    }
   }
   // 2. Queue the RT signal, if armed (paper §2: the kernel raises the
   //    assigned signal whenever a read/write/close operation completes).
@@ -51,7 +55,7 @@ void File::SetAsyncSignal(Process* owner, int signo) {
     async_rr_next_ = 0;
     return;
   }
-  for (auto it = async_subs_.begin(); it != async_subs_.end(); ++it) {
+  for (AsyncSub* it = async_subs_.begin(); it != async_subs_.end(); ++it) {
     if (it->proc == owner) {
       if (signo == 0) {
         async_subs_.erase(it);

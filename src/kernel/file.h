@@ -13,9 +13,10 @@
 #ifndef SRC_KERNEL_FILE_H_
 #define SRC_KERNEL_FILE_H_
 
-#include <vector>
+#include <cstdint>
 
 #include "src/kernel/poll_types.h"
+#include "src/kernel/small_vector.h"
 #include "src/kernel/wait_queue.h"
 
 namespace scio {
@@ -42,9 +43,15 @@ class StatusListener {
 //    the signal-plane analogue of the wake-one wait-queue fix.
 enum class AsyncDeliveryMode { kAll, kRoundRobin };
 
+// What a File is, for the syscalls that take one kind only: read(), write()
+// and accept() check it instead of a dynamic_cast, and a wrong kind is
+// EBADF.
+enum class FileKind : uint8_t { kOther, kSocket, kListener };
+
 class File {
  public:
-  explicit File(SimKernel* kernel) : kernel_(kernel) {}
+  explicit File(SimKernel* kernel, FileKind kind = FileKind::kOther)
+      : kernel_(kernel), kind_(kind) {}
   File(const File&) = delete;
   File& operator=(const File&) = delete;
   virtual ~File() = default;
@@ -62,6 +69,7 @@ class File {
   virtual void OnFdClose() {}
 
   SimKernel* kernel() const { return kernel_; }
+  FileKind kind() const { return kind_; }
   WaitQueue& poll_wait() { return poll_wait_; }
 
   // Fan a state change out to listeners, signal owner, and sleepers.
@@ -101,11 +109,14 @@ class File {
 
   SimKernel* kernel_;
   WaitQueue poll_wait_;
-  std::vector<StatusListener*> listeners_;
-  std::vector<AsyncSub> async_subs_;  // registration order
+  // Registration order. A socket has one listener and at most one
+  // subscriber, which live inline.
+  SmallVector<StatusListener*, 1> listeners_;
+  SmallVector<AsyncSub, 1> async_subs_;
   AsyncDeliveryMode async_mode_ = AsyncDeliveryMode::kAll;
   size_t async_rr_next_ = 0;
   int fd_number_ = -1;
+  FileKind kind_;
 };
 
 }  // namespace scio

@@ -52,9 +52,11 @@ void WaitQueue::Remove(Waiter* w) {
   waiters_.erase(std::remove(waiters_.begin(), waiters_.end(), w), waiters_.end());
 }
 
+// sciolint: hotpath
 size_t WaitQueue::WakeOne() {
-  // Copy: a wake callback may (indirectly) destroy a waiter.
-  std::vector<Waiter*> snapshot = waiters_;
+  // Copy: a wake callback may (indirectly) destroy a waiter. The copy lives
+  // on the stack unless over 8 waiters are registered.
+  const SmallVector<Waiter*, 8> snapshot(waiters_.begin(), waiters_.size());
   size_t woken = 0;
   bool exclusive_woken = false;
   for (Waiter* w : snapshot) {
@@ -75,7 +77,7 @@ size_t WaitQueue::WakeOne() {
 
 size_t WaitQueue::WakeAll() {
   // Copy: a wake callback may (indirectly) destroy a waiter.
-  std::vector<Waiter*> snapshot = waiters_;
+  const SmallVector<Waiter*, 8> snapshot(waiters_.begin(), waiters_.size());
   size_t woken = 0;
   for (Waiter* w : snapshot) {
     if (w->queue_ == this) {

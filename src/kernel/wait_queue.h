@@ -19,8 +19,8 @@
 #define SRC_KERNEL_WAIT_QUEUE_H_
 
 #include <cstddef>
-#include <vector>
 
+#include "src/kernel/small_vector.h"
 #include "src/sim/event_callback.h"
 
 namespace scio {
@@ -75,7 +75,8 @@ class WaitQueue {
   size_t exclusive_count() const { return exclusive_count_; }
 
  private:
-  std::vector<Waiter*> waiters_;
+  // A socket's queue holds one poll() sleeper at a time, inline.
+  SmallVector<Waiter*, 1> waiters_;
   size_t exclusive_count_ = 0;
 };
 

@@ -1,27 +1,21 @@
 #include "src/load/active_client.h"
 
-#include <utility>
-
-#include "src/http/http_message.h"
+#include <cstdint>
 
 namespace scio {
 
-ActiveClient::ActiveClient(NetStack* net, std::shared_ptr<SimListener> listener,
-                           std::string path, SimDuration timeout, ConnRecord* record)
-    : net_(net),
-      listener_(std::move(listener)),
-      request_(BuildHttpRequest(path)),
-      timeout_(timeout),
-      record_(record) {}
+ActiveClient::ActiveClient(ClientContext* context, ConnRecord* record)
+    : context_(context), record_(record) {}
 
 ActiveClient::~ActiveClient() { timeout_timer_.Cancel(); }
 
 void ActiveClient::Start() {
+  NetStack* net = context_->net;
   if (record_->attempts == 0) {
-    record_->start = net_->kernel()->now();
+    record_->start = net->kernel()->now();
   }
   ++record_->attempts;
-  socket_ = net_->Connect(listener_);
+  socket_ = net->Connect(context_->listener);
   if (socket_ == nullptr) {
     Finish(ConnOutcome::kNoPorts);
     return;
@@ -30,26 +24,29 @@ void ActiveClient::Start() {
   socket_->on_refused = [this] { Finish(ConnOutcome::kRefused); };
   socket_->on_data = [this](size_t) { OnData(); };
   socket_->on_eof = [this] { OnEof(); };
-  timeout_timer_ = net_->kernel()->sim().ScheduleAfter(timeout_, [this] {
+  timeout_timer_ = net->kernel()->sim().ScheduleAfter(context_->timeout, [this] {
     if (!done_) {
       Finish(ConnOutcome::kTimeout);
     }
   });
 }
 
+// sciolint: hotpath
 void ActiveClient::OnConnected() {
   if (done_) {
     return;
   }
-  socket_->Write(Chunk{request_, 0});
+  socket_->Write(Chunk{context_->request, 0});
 }
 
+// sciolint: hotpath
 void ActiveClient::OnData() {
   if (done_) {
     return;
   }
-  const ReadResult r = socket_->Read(SIZE_MAX);
-  const ResponseReader::State state = reader_.Feed(r.data, r.n - r.data.size());
+  std::string& data = context_->read_buffer;
+  const ReadResult r = socket_->Read(SIZE_MAX, &data);
+  const ResponseReader::State state = reader_.Feed(data, r.n - data.size());
   if (state == ResponseReader::State::kComplete) {
     Finish(reader_.status_code() == 200 ? ConnOutcome::kOk : ConnOutcome::kBadReply);
   } else if (state == ResponseReader::State::kError) {
@@ -72,7 +69,7 @@ void ActiveClient::Finish(ConnOutcome outcome) {
   done_ = true;
   timeout_timer_.Cancel();
   record_->outcome = outcome;
-  record_->end = net_->kernel()->now();
+  record_->end = context_->net->kernel()->now();
   if (socket_ != nullptr) {
     socket_->on_connected = nullptr;
     socket_->on_refused = nullptr;

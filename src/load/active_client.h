@@ -19,10 +19,19 @@
 
 namespace scio {
 
+// What every client of one generator shares, made once per generator.
+struct ClientContext {
+  NetStack* net = nullptr;
+  std::shared_ptr<SimListener> listener;
+  std::string request;      // the GET every client sends
+  SimDuration timeout = 0;  // per connection, from the first SYN
+  std::string read_buffer;  // every client's reads land here, one at a time
+};
+
 class ActiveClient {
  public:
-  ActiveClient(NetStack* net, std::shared_ptr<SimListener> listener, std::string path,
-               SimDuration timeout, ConnRecord* record);
+  // `context` must outlive the client.
+  ActiveClient(ClientContext* context, ConnRecord* record);
   ActiveClient(const ActiveClient&) = delete;
   ActiveClient& operator=(const ActiveClient&) = delete;
   ~ActiveClient();
@@ -44,10 +53,7 @@ class ActiveClient {
   void OnData();
   void OnEof();
 
-  NetStack* net_;
-  std::shared_ptr<SimListener> listener_;
-  std::string request_;
-  SimDuration timeout_;
+  ClientContext* context_;
   ConnRecord* record_;
 
   std::shared_ptr<SimSocket> socket_;

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
+
+#include "src/http/http_message.h"
 
 namespace scio {
 
@@ -16,9 +20,10 @@ constexpr SimDuration kRetryBackoffCap = Millis(800);  // delay never exceeds th
 HttperfGenerator::HttperfGenerator(NetStack* net, std::shared_ptr<SimListener> listener,
                                    ActiveWorkload workload)
     : net_(net),
-      listener_(std::move(listener)),
       workload_(workload),
-      rng_(workload.seed) {}
+      rng_(workload.seed),
+      context_{net, std::move(listener), BuildHttpRequest(workload.path),
+               workload.client_timeout, {}} {}
 
 void HttperfGenerator::Start(SimTime start_at) {
   const double gap_ns = 1e9 / workload_.request_rate;
@@ -42,7 +47,6 @@ void HttperfGenerator::Start(SimTime start_at) {
     }
   }
 
-  clients_.reserve(offsets.size());
   for (double offset : offsets) {
     records_.emplace_back();
     ConnRecord* record = &records_.back();
@@ -51,14 +55,13 @@ void HttperfGenerator::Start(SimTime start_at) {
   }
 }
 
+// sciolint: hotpath
 void HttperfGenerator::Launch(ConnRecord* record) {
-  clients_.push_back(std::make_unique<ActiveClient>(
-      net_, listener_, workload_.path, workload_.client_timeout, record));
-  ActiveClient* client = clients_.back().get();
+  ActiveClient& client = clients_.emplace_back(&context_, record);
   if (workload_.max_retries > 0) {
-    client->on_done = [this, record](ConnOutcome outcome) { MaybeRetry(record, outcome); };
+    client.on_done = [this, record](ConnOutcome outcome) { MaybeRetry(record, outcome); };
   }
-  client->Start();
+  client.Start();
 }
 
 void HttperfGenerator::MaybeRetry(ConnRecord* record, ConnOutcome outcome) {

@@ -10,8 +10,8 @@
 
 #include <deque>
 #include <memory>
-#include <vector>
 
+#include "src/kernel/paged_slab.h"
 #include "src/load/active_client.h"
 #include "src/load/workload.h"
 #include "src/sim/rng.h"
@@ -37,12 +37,15 @@ class HttperfGenerator {
   void MaybeRetry(ConnRecord* record, ConnOutcome outcome);
 
   NetStack* net_;
-  std::shared_ptr<SimListener> listener_;
   ActiveWorkload workload_;
   Rng rng_;
   // Deque: push_back never invalidates the record pointers clients hold.
   std::deque<ConnRecord> records_;
-  std::vector<std::unique_ptr<ActiveClient>> clients_;
+  ClientContext context_;  // before clients_, which point at it
+  // Every client launched, kept until the generator dies: a finished client
+  // still holds its closed socket (see transport_plane.h on why that
+  // matters).
+  PagedVector<ActiveClient> clients_;
   uint64_t retries_ = 0;
 };
 

@@ -46,6 +46,7 @@ bool SimListener::IngressSynAllowed(int src_port) {
   return true;
 }
 
+// sciolint: hotpath
 void SimListener::HandleSyn(const std::shared_ptr<SimSocket>& client) {
   if (!IngressSynAllowed(client->port())) {
     return;
@@ -72,14 +73,14 @@ void SimListener::HandleSyn(const std::shared_ptr<SimSocket>& client) {
     kernel()->ChargeDebt(kernel()->cost().syncookie_cost, ChargeCat::kSynCookie);
   }
 
-  auto server = std::make_shared<SimSocket>(kernel(), net_, /*server_side=*/true);
+  std::shared_ptr<SimSocket> server = net_->MakeSocket(/*server_side=*/true);
   server->set_remote_port(client->port());
   if (TcpTransportHook* transport = net_->transport(); transport != nullptr) {
     transport->Attach(server.get());
   }
   server->WirePeer(client);
   client->WirePeer(server);
-  backlog_.push_back(server);
+  backlog_.push_back(std::move(server));
   // Herd metric: every Process::Wake() triggered by this SYN's notification
   // fan-out (poll sleepers, devpoll owners via hint backmaps, RT-signal
   // deliveries) is a listener wakeup. wakeups/accept ≈ 1 is the wake-one
@@ -120,7 +121,7 @@ std::shared_ptr<SimSocket> SimListener::Accept() {
   if (backlog_.empty()) {
     return nullptr;
   }
-  std::shared_ptr<SimSocket> conn = backlog_.front();
+  std::shared_ptr<SimSocket> conn = std::move(backlog_.front());
   backlog_.pop_front();
   return conn;
 }

@@ -22,6 +22,7 @@
 #include <memory>
 
 #include "src/kernel/file.h"
+#include "src/net/ring_queue.h"
 #include "src/net/socket.h"
 #include "src/sim/time.h"
 
@@ -38,7 +39,7 @@ struct SynBacklogConfig {
 class SimListener : public File {
  public:
   SimListener(SimKernel* kernel, NetStack* net, int backlog_max = 128)
-      : File(kernel), net_(net), backlog_max_(backlog_max) {}
+      : File(kernel, FileKind::kListener), net_(net), backlog_max_(backlog_max) {}
 
   // --- File interface --------------------------------------------------------
   PollEvents PollMask() const override { return backlog_.empty() ? 0 : kPollIn; }
@@ -92,7 +93,7 @@ class SimListener : public File {
   int backlog_max_;
   bool closed_ = false;
   ReusePortGroup* reuseport_group_ = nullptr;
-  std::deque<std::shared_ptr<SimSocket>> backlog_;
+  RingQueue<std::shared_ptr<SimSocket>, 2> backlog_;
   // Half-open queue: entries share one timeout, so the deque stays ordered
   // by expiry and the reap pops from the front.
   SynBacklogConfig syn_config_;

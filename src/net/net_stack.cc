@@ -7,12 +7,17 @@
 
 namespace scio {
 
+std::shared_ptr<SimSocket> NetStack::MakeSocket(bool server_side) {
+  return std::allocate_shared<SimSocket>(socket_alloc_, kernel_, this, server_side);
+}
+
+// sciolint: hotpath
 std::shared_ptr<SimSocket> NetStack::Connect(const std::shared_ptr<SimListener>& listener) {
   const int port = ports_.Acquire(kernel_->now());
   if (port < 0) {
     return nullptr;
   }
-  auto client = std::make_shared<SimSocket>(kernel_, this, /*server_side=*/false);
+  std::shared_ptr<SimSocket> client = MakeSocket(/*server_side=*/false);
   client->set_port(port);
   if (transport_ != nullptr) {
     transport_->Attach(client.get());

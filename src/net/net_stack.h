@@ -12,6 +12,7 @@
 #include "src/kernel/sim_kernel.h"
 #include "src/net/link.h"
 #include "src/net/port_allocator.h"
+#include "src/net/socket_pool.h"
 
 namespace scio {
 
@@ -37,7 +38,8 @@ class NetStack {
         config_(config),
         to_server_(&kernel->sim(), config.bandwidth_bps, config.latency),
         to_client_(&kernel->sim(), config.bandwidth_bps, config.latency),
-        ports_(kFirstClientPort, config.client_port_count) {}
+        ports_(kFirstClientPort, config.client_port_count),
+        socket_alloc_(new SocketPool) {}
   NetStack(const NetStack&) = delete;
   NetStack& operator=(const NetStack&) = delete;
 
@@ -67,6 +69,9 @@ class NetStack {
   // Direction selector: traffic *from* the client flows toward the server.
   Link& LinkFor(bool toward_server) { return toward_server ? to_server_ : to_client_; }
 
+  // A new, unwired socket from this stack's pool (see socket_pool.h).
+  std::shared_ptr<SimSocket> MakeSocket(bool server_side);
+
   // Client-side connect: allocates an ephemeral port and launches the SYN.
   // Returns the (client-side) socket, or nullptr when the port space is
   // exhausted — the client-resource error the paper works around in §5.
@@ -84,6 +89,7 @@ class NetStack {
   Link to_server_;
   Link to_client_;
   PortAllocator ports_;
+  SocketAllocator<SimSocket> socket_alloc_;
   IngressFilterChain* filter_ = nullptr;
   TcpTransportHook* transport_ = nullptr;
 };

@@ -31,7 +31,7 @@ void PortAllocator::ReleaseImmediate(int port) {
 
 void PortAllocator::ReleaseTimeWait(int port, SimTime now) {
   --in_use_;
-  time_wait_ports_.emplace_back(now + kDefaultTimeWait, port);
+  time_wait_ports_.push_back({now + kDefaultTimeWait, port});
 }
 
 int PortAllocator::in_time_wait(SimTime now) {

@@ -9,9 +9,9 @@
 #define SRC_NET_PORT_ALLOCATOR_H_
 
 #include <cstdint>
-#include <deque>
-#include <queue>
+#include <utility>
 
+#include "src/net/ring_queue.h"
 #include "src/sim/time.h"
 
 namespace scio {
@@ -43,9 +43,9 @@ class PortAllocator {
   int count_;
   int next_fresh_ = 0;  // ports never used yet: first_port_ + next_fresh_
   int in_use_ = 0;
-  std::deque<int> free_ports_;
+  RingQueue<int, 16> free_ports_;
   // FIFO by expiry: TIME-WAIT durations are constant so this stays sorted.
-  std::deque<std::pair<SimTime, int>> time_wait_ports_;
+  RingQueue<std::pair<SimTime, int>, 16> time_wait_ports_;
 };
 
 }  // namespace scio

@@ -11,7 +11,7 @@
 namespace scio {
 
 SimSocket::SimSocket(SimKernel* kernel, NetStack* net, bool server_side)
-    : File(kernel),
+    : File(kernel, FileKind::kSocket),
       net_(net),
       server_side_(server_side),
       state_(server_side ? State::kEstablished : State::kConnecting),
@@ -48,7 +48,8 @@ PollEvents SimSocket::PollMask() const {
   return mask;
 }
 
-size_t SimSocket::Write(Chunk chunk) {
+// sciolint: hotpath
+size_t SimSocket::Write(Chunk&& chunk) {
   if (state_ != State::kEstablished && state_ != State::kPeerClosed) {
     return 0;
   }
@@ -58,9 +59,17 @@ size_t SimSocket::Write(Chunk chunk) {
     return 0;
   }
   Chunk out;
-  const size_t from_data = std::min(accepted, chunk.data.size());
-  out.data = chunk.data.substr(0, from_data);
-  out.synthetic = accepted - from_data;
+  if (accepted == chunk.size()) {
+    out = std::move(chunk);
+    chunk.data.clear();
+    chunk.synthetic = 0;
+  } else {
+    const size_t from_data = std::min(accepted, chunk.data.size());
+    out.data.assign(chunk.data, 0, from_data);
+    chunk.data.erase(0, from_data);
+    out.synthetic = accepted - from_data;
+    chunk.synthetic -= out.synthetic;
+  }
   in_flight_ += accepted;
 
   if (transport_ != nullptr) {
@@ -92,7 +101,8 @@ void SimSocket::OnBytesAcked(size_t n) {
   }
 }
 
-void SimSocket::DeliverChunk(Chunk chunk) {
+// sciolint: hotpath
+void SimSocket::DeliverChunk(Chunk&& chunk) {
   if (state_ == State::kClosed || state_ == State::kRefused) {
     return;  // arrived after close; the real stack would RST
   }
@@ -122,7 +132,8 @@ void SimSocket::DeliverChunk(Chunk chunk) {
   }
 }
 
-void SimSocket::AcceptTransportBytes(Chunk chunk) {
+// sciolint: hotpath
+void SimSocket::AcceptTransportBytes(Chunk&& chunk) {
   if (state_ == State::kClosed || state_ == State::kRefused) {
     return;  // arrived after close; the real stack would RST
   }
@@ -157,14 +168,20 @@ void SimSocket::DeliverEof() {
   }
 }
 
-ReadResult SimSocket::Read(size_t max_bytes) {
+// sciolint: hotpath
+ReadResult SimSocket::Read(size_t max_bytes, std::string* data) {
   ReadResult result;
+  if (data != nullptr) {
+    data->clear();
+  }
   while (result.n < max_bytes && !recv_queue_.empty()) {
     Chunk& front = recv_queue_.front();
     size_t want = max_bytes - result.n;
     // Real bytes first, then synthetic padding.
     const size_t from_data = std::min(want, front.data.size());
-    result.data.append(front.data, 0, from_data);
+    if (data != nullptr) {
+      data->append(front.data, 0, from_data);
+    }
     front.data.erase(0, from_data);
     want -= from_data;
     const size_t from_synth = std::min(want, front.synthetic);

@@ -17,13 +17,14 @@
 #define SRC_NET_SOCKET_H_
 
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 
 #include "src/kernel/file.h"
 #include "src/kernel/poll_types.h"
+#include "src/net/ring_queue.h"
 
 namespace scio {
 
@@ -42,7 +43,6 @@ struct Chunk {
 
 struct ReadResult {
   size_t n = 0;        // bytes consumed (0 with eof=false means would-block)
-  std::string data;    // real prefix of the consumed bytes
   bool eof = false;    // peer closed and no data remains
   int err = 0;         // 0, or an errno-style code (kErrBadF) from sys_errno.h
 };
@@ -70,11 +70,15 @@ class SimSocket : public File, public std::enable_shared_from_this<SimSocket> {
   // --- data path ------------------------------------------------------------
   // Send; returns bytes accepted (may be short when the send buffer is full,
   // 0 if the connection is not writable). Accepted bytes are in flight until
-  // delivery; while full, PollMask drops kPollOut.
-  size_t Write(Chunk chunk);
+  // delivery; while full, PollMask drops kPollOut. The accepted bytes leave
+  // `chunk`: a chunk accepted whole is moved on as it is, a short write
+  // splits off its accepted prefix, real bytes first, and leaves the rest.
+  size_t Write(Chunk&& chunk);
 
-  // Consume up to `max_bytes` from the receive queue.
-  ReadResult Read(size_t max_bytes);
+  // Consume up to `max_bytes` from the receive queue. The real prefix of the
+  // consumed bytes replaces `*data`, a buffer the caller keeps and reuses;
+  // with a null `data` it is dropped.
+  ReadResult Read(size_t max_bytes, std::string* data = nullptr);
 
   size_t available() const { return recv_available_; }
   bool eof_received() const { return eof_received_; }
@@ -104,7 +108,7 @@ class SimSocket : public File, public std::enable_shared_from_this<SimSocket> {
   // Remote-initiated events, scheduled by the peer through the link.
   void HandleConnected();
   void HandleRefused();
-  void DeliverChunk(Chunk chunk);
+  void DeliverChunk(Chunk&& chunk);
   void DeliverEof();
 
   void set_sndbuf(size_t bytes) { sndbuf_ = bytes; }
@@ -124,7 +128,7 @@ class SimSocket : public File, public std::enable_shared_from_this<SimSocket> {
   // Plane-side delivery of in-order reassembled bytes. Interrupt charges and
   // the ingress packet filter already ran at segment arrival, so this only
   // enqueues into the receive buffer and fires readiness.
-  void AcceptTransportBytes(Chunk chunk);
+  void AcceptTransportBytes(Chunk&& chunk);
 
   // Plane-side acknowledgement: `n` bytes left the retransmit queue for good
   // (cumulatively acked by the peer), freeing send-buffer budget.
@@ -141,7 +145,9 @@ class SimSocket : public File, public std::enable_shared_from_this<SimSocket> {
   int remote_port_ = -1;
   std::weak_ptr<SimSocket> peer_;
 
-  std::deque<Chunk> recv_queue_;
+  // A request, or a response the client drains as it lands: two chunks
+  // queue inline.
+  RingQueue<Chunk, 2> recv_queue_;
   size_t recv_available_ = 0;
   bool eof_received_ = false;
   bool port_released_ = false;

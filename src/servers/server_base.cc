@@ -1,6 +1,7 @@
 #include "src/servers/server_base.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "src/http/http_message.h"
@@ -158,11 +159,16 @@ int HttpServerBase::DrainAccepts() {
   return accepted;
 }
 
+// sciolint: hotpath
 void HttpServerBase::StartResponse(int fd, Conn& conn) {
   kernel().Charge(kernel().cost().http_build_response, ChargeCat::kHttpRespond);
   std::optional<size_t> size = content_->Lookup(conn.parser.path());
   if (size.has_value()) {
-    conn.pending_write = BuildHttpOkResponse(*size);
+    if (ok_response_.data.empty() || ok_response_.synthetic != *size) {
+      ok_response_ = BuildHttpOkResponse(*size);
+    }
+    conn.pending_write.data = ok_response_.data;
+    conn.pending_write.synthetic = ok_response_.synthetic;
     ++stats_.responses_sent;
   } else {
     conn.pending_write = BuildHttpNotFoundResponse();
@@ -173,6 +179,7 @@ void HttpServerBase::StartResponse(int fd, Conn& conn) {
   HandleWritable(fd);
 }
 
+// sciolint: hotpath
 bool HttpServerBase::HandleReadable(int fd) {
   Conn* conn = conns_.Get(fd);
   if (conn == nullptr) {
@@ -181,7 +188,7 @@ bool HttpServerBase::HandleReadable(int fd) {
   }
   conns_.Touch(fd, kernel().now());
 
-  const ReadResult r = sys_->Read(fd, kReadChunk);
+  const ReadResult r = sys_->Read(fd, kReadChunk, &read_buffer_);
   if (r.err != 0) {
     // EBADF: our bookkeeping has a conn the fd table doesn't. Drop it.
     CloseConn(fd);
@@ -201,7 +208,7 @@ bool HttpServerBase::HandleReadable(int fd) {
   kernel().Charge(kernel().cost().http_parse_base +
                       kernel().cost().http_parse_per_byte * static_cast<SimDuration>(r.n),
                   ChargeCat::kHttpParse);
-  const RequestParser::State state = conn->parser.Feed(r.data);
+  const RequestParser::State state = conn->parser.Feed(read_buffer_);
   switch (state) {
     case RequestParser::State::kIncomplete:
       return true;
@@ -216,6 +223,7 @@ bool HttpServerBase::HandleReadable(int fd) {
   return true;
 }
 
+// sciolint: hotpath
 bool HttpServerBase::HandleWritable(int fd) {
   Conn* conn = conns_.Get(fd);
   if (conn == nullptr) {
@@ -227,19 +235,12 @@ bool HttpServerBase::HandleWritable(int fd) {
   }
   conns_.Touch(fd, kernel().now());
 
-  const long sent = sys_->Write(fd, conn->pending_write);
-  if (sent < 0) {
+  // Write takes what it accepts out of pending_write and leaves the rest.
+  if (sys_->Write(fd, std::move(conn->pending_write)) < 0) {
     ++stats_.write_errors;  // EPIPE/EBADF: response can never complete
     CloseConn(fd);
     return false;
   }
-  // Trim what was accepted: real bytes first, then synthetic.
-  size_t n = static_cast<size_t>(sent);
-  const size_t from_data =
-      n < conn->pending_write.data.size() ? n : conn->pending_write.data.size();
-  conn->pending_write.data.erase(0, from_data);
-  conn->pending_write.synthetic -= n - from_data;
-
   if (conn->pending_write.size() == 0) {
     // HTTP/1.0: response done, server closes.
     CloseConn(fd);

@@ -185,6 +185,11 @@ class HttpServerBase {
   // PollPass()'s array; clear() keeps its allocation, so after the
   // connection count peaks a rebuild performs no heap traffic.
   std::vector<PollFd> pollfds_;
+  // Every read() lands here; the buffer keeps its capacity across reads.
+  std::string read_buffer_;
+  // The last 200 response built, header and body size: rebuilt only when a
+  // document of another size is served.
+  Chunk ok_response_;
 
   // Build and start sending the response for a completed request.
   void StartResponse(int fd, Conn& conn);

@@ -17,6 +17,16 @@
 // kTcpSegment/kTcpAck/kTcpRetransmit/kTcpPacing categories — server side
 // only.
 //
+// Socket lifetime: a data segment is delivered, and ACKed, while its
+// receiver's socket object exists, whether or not the socket is closed. A
+// closed socket that is still held keeps its block until its own data and
+// FIN drain, and ACKs what arrives for it meanwhile; once the socket is
+// destroyed, segments for it count in segments_stale and get no ACK, so the
+// sender retransmits them. Results therefore depend on how long sockets are
+// held: the load generator keeps every finished client, socket included,
+// until it is destroyed, and releasing finished clients early moves the
+// modelled results of lossy runs (transport_test pins both halves).
+//
 // Determinism: all state lives in paged slabs (deterministic iteration), the
 // only RNG is the plane's own seeded jitter stream, and timers resolve
 // through (side, slot, generation) routes so stale fires are no-ops. The

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/http/http_message.h"
 #include "src/http/request_parser.h"
 #include "src/http/response_reader.h"
@@ -150,6 +152,17 @@ TEST(ResponseReaderTest, ParsesStatusCode) {
   reader.Feed("HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\n\r\n", 0);
   EXPECT_EQ(reader.state(), ResponseReader::State::kComplete);
   EXPECT_EQ(reader.status_code(), 404);
+}
+
+// The length is read with strtoll's saturation, so a hostile header cannot
+// overflow the parse or wrap to a small length.
+TEST(ResponseReaderTest, OversizedContentLengthSaturates) {
+  ResponseReader reader;
+  EXPECT_EQ(reader.Feed("HTTP/1.0 200 OK\r\nContent-Length: 99999999999999999999999\r\n\r\n",
+                        1000),
+            ResponseReader::State::kBody);
+  EXPECT_EQ(reader.content_length(),
+            static_cast<size_t>(std::numeric_limits<long long>::max()));
 }
 
 class ResponseReaderSplitTest : public ::testing::TestWithParam<size_t> {};

@@ -14,9 +14,9 @@ namespace {
 
 TEST(InterestTableTest, InsertFindErase) {
   InterestHashTable table;
-  bool inserted = false;
-  Interest& a = table.FindOrInsert(5, &inserted);
-  EXPECT_TRUE(inserted);
+  EXPECT_EQ(table.Find(5), nullptr);
+  Interest& a = table.FindOrInsert(5);
+  EXPECT_EQ(table.Find(5), &a) << "a new fd is inserted";
   a.events = kPollIn;
   EXPECT_EQ(table.size(), 1u);
 
@@ -24,8 +24,7 @@ TEST(InterestTableTest, InsertFindErase) {
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->events, kPollIn);
 
-  table.FindOrInsert(5, &inserted);
-  EXPECT_FALSE(inserted) << "same fd resolves to the existing interest";
+  EXPECT_EQ(&table.FindOrInsert(5), &a) << "same fd resolves to the existing interest";
   EXPECT_EQ(table.size(), 1u);
 
   EXPECT_TRUE(table.Erase(5));
@@ -43,21 +42,19 @@ TEST(InterestTableTest, GrowthRuleDoublesAtAverageChainOfTwo) {
   InterestHashTable table(8);
   // Paper: "when the average bucket size is two, the number of buckets in
   // the hash table is doubled."
-  bool inserted;
   for (int fd = 0; fd < 15; ++fd) {
-    table.FindOrInsert(fd, &inserted);
+    table.FindOrInsert(fd);
   }
   EXPECT_EQ(table.bucket_count(), 8u) << "15 entries in 8 buckets: average < 2";
-  table.FindOrInsert(15, &inserted);
+  table.FindOrInsert(15);
   EXPECT_EQ(table.bucket_count(), 16u) << "16th entry trips the doubling rule";
   EXPECT_EQ(table.resize_count(), 1u);
 }
 
 TEST(InterestTableTest, NeverShrinks) {
   InterestHashTable table(8);
-  bool inserted;
   for (int fd = 0; fd < 100; ++fd) {
-    table.FindOrInsert(fd, &inserted);
+    table.FindOrInsert(fd);
   }
   const size_t grown = table.bucket_count();
   for (int fd = 0; fd < 100; ++fd) {
@@ -69,9 +66,8 @@ TEST(InterestTableTest, NeverShrinks) {
 
 TEST(InterestTableTest, ForEachVisitsEveryEntryOnce) {
   InterestHashTable table;
-  bool inserted;
   for (int fd = 0; fd < 37; ++fd) {
-    table.FindOrInsert(fd, &inserted);
+    table.FindOrInsert(fd);
   }
   std::set<int> seen;
   table.ForEach([&](Interest& interest) { seen.insert(interest.fd); });
@@ -82,9 +78,8 @@ TEST(InterestTableTest, ForEachVisitsEveryEntryOnce) {
 
 TEST(InterestTableTest, SurvivesRehashWithState) {
   InterestHashTable table(2);
-  bool inserted;
   for (int fd = 0; fd < 64; ++fd) {
-    Interest& interest = table.FindOrInsert(fd, &inserted);
+    Interest& interest = table.FindOrInsert(fd);
     interest.events = static_cast<PollEvents>(fd + 1);
     interest.hint = (fd % 2) == 0;
   }
@@ -98,13 +93,12 @@ TEST(InterestTableTest, SurvivesRehashWithState) {
 
 TEST(InterestTableTest, PointersStableAcrossGrowth) {
   InterestHashTable table(8);
-  bool inserted;
-  Interest& pinned = table.FindOrInsert(3, &inserted);
+  Interest& pinned = table.FindOrInsert(3);
   pinned.events = kPollIn;
   Interest* const address = &pinned;
   // Insert well past several doubling thresholds while holding the reference.
   for (int fd = 100; fd < 400; ++fd) {
-    table.FindOrInsert(fd, &inserted);
+    table.FindOrInsert(fd);
   }
   ASSERT_GE(table.resize_count(), 3u) << "growth must actually have happened";
   EXPECT_EQ(table.Find(3), address) << "node moved during rehash";
@@ -115,11 +109,10 @@ TEST(InterestTableTest, PointersStableAcrossGrowth) {
 
 TEST(InterestTableTest, PointersStableAcrossEraseChurn) {
   InterestHashTable table(4);
-  bool inserted;
-  Interest* const address = &table.FindOrInsert(7, &inserted);
+  Interest* const address = &table.FindOrInsert(7);
   for (int round = 0; round < 20; ++round) {
     for (int fd = 1000; fd < 1040; ++fd) {
-      table.FindOrInsert(fd, &inserted);
+      table.FindOrInsert(fd);
     }
     for (int fd = 1000; fd < 1040; ++fd) {
       table.Erase(fd);
@@ -132,14 +125,13 @@ TEST(InterestTableTest, ForEachOrderDeterministicAcrossIdenticalBuilds) {
   // Scan order feeds the simulated /dev/poll result order, so two tables
   // built by the same insertion/erasure sequence must scan identically.
   auto build = [](InterestHashTable& table) {
-    bool inserted;
     for (int fd : {9, 1, 33, 5, 17, 2, 65, 41, 73, 12, 99, 7, 25, 49, 81, 13}) {
-      table.FindOrInsert(fd, &inserted);
+      table.FindOrInsert(fd);
     }
     table.Erase(33);
     table.Erase(12);
     for (int fd : {129, 161, 193, 33}) {
-      table.FindOrInsert(fd, &inserted);  // growth + a freelist reuse
+      table.FindOrInsert(fd);  // growth + a freelist reuse
     }
   };
   InterestHashTable a(4);
@@ -157,9 +149,8 @@ TEST(InterestTableTest, ForEachOrderDeterministicAcrossIdenticalBuilds) {
 TEST(InterestTableTest, ScanIndexMarksInsertsAndEveryBucketOnGrowth) {
   InterestHashTable table(8);
   EXPECT_EQ(table.NextMarked(0), table.bucket_count()) << "an empty table is clean";
-  bool inserted;
-  table.FindOrInsert(3, &inserted);
-  table.FindOrInsert(11, &inserted);  // same bucket as 3
+  table.FindOrInsert(3);
+  table.FindOrInsert(11);  // same bucket as 3
   EXPECT_EQ(table.NextMarked(0), 3u) << "an insert marks its bucket";
   EXPECT_EQ(table.NextMarked(4), table.bucket_count());
   EXPECT_EQ(table.bucket_entries(3), 2u);
@@ -175,7 +166,7 @@ TEST(InterestTableTest, ScanIndexMarksInsertsAndEveryBucketOnGrowth) {
   EXPECT_EQ(table.bucket_entries(3), 1u);
 
   for (int fd = 100; table.resize_count() == 0; ++fd) {
-    table.FindOrInsert(fd, &inserted);
+    table.FindOrInsert(fd);
   }
   ASSERT_EQ(table.bucket_count(), 16u);
   for (size_t b = 0; b < table.bucket_count(); ++b) {
@@ -203,9 +194,9 @@ TEST_P(InterestTableProperty, InvariantUnderRandomChurn) {
   for (int step = 0; step < 5000; ++step) {
     const int fd = static_cast<int>(rng.UniformInt(0, 700));
     if (rng.Bernoulli(0.6)) {
-      bool inserted;
-      table.FindOrInsert(fd, &inserted);
-      EXPECT_EQ(inserted, model.insert(fd).second);
+      const bool absent = table.Find(fd) == nullptr;
+      table.FindOrInsert(fd);
+      EXPECT_EQ(absent, model.insert(fd).second);
     } else {
       EXPECT_EQ(table.Erase(fd), model.erase(fd) == 1);
     }

@@ -147,34 +147,41 @@ TEST_F(SimWorldTest, BytesFlowBothWays) {
   auto [client, fd] = EstablishedPair();
   client->Write(Chunk{"hello", 0});
   RunFor(Millis(5));
-  ReadResult r = sys_.Read(fd, 100);
+  std::string data;
+  ReadResult r = sys_.Read(fd, 100, &data);
   EXPECT_EQ(r.n, 5u);
-  EXPECT_EQ(r.data, "hello");
+  EXPECT_EQ(data, "hello");
 
   ASSERT_EQ(sys_.Write(fd, Chunk{"world!", 0}), 6);
   size_t got = 0;
   client->on_data = [&](size_t n) { got += n; };
   RunFor(Millis(5));
   EXPECT_EQ(got, 6u);
-  EXPECT_EQ(client->Read(100).data, "world!");
+  EXPECT_EQ(client->Read(100, &data).n, 6u);
+  EXPECT_EQ(data, "world!") << "the read replaces the buffer's contents";
 }
 
 TEST_F(SimWorldTest, SyntheticBytesCountButCarryNoData) {
   auto [client, fd] = EstablishedPair();
   ASSERT_EQ(sys_.Write(fd, Chunk{"hdr:", 1000}), 1004);
   RunFor(Millis(10));
-  ReadResult r = client->Read(SIZE_MAX);
+  std::string data;
+  ReadResult r = client->Read(SIZE_MAX, &data);
   EXPECT_EQ(r.n, 1004u);
-  EXPECT_EQ(r.data, "hdr:");
+  EXPECT_EQ(data, "hdr:");
 }
 
 TEST_F(SimWorldTest, PartialReadPreservesOrder) {
   auto [client, fd] = EstablishedPair();
   client->Write(Chunk{"abcdef", 0});
   RunFor(Millis(5));
-  EXPECT_EQ(sys_.Read(fd, 2).data, "ab");
-  EXPECT_EQ(sys_.Read(fd, 2).data, "cd");
-  EXPECT_EQ(sys_.Read(fd, 10).data, "ef");
+  std::string data;
+  EXPECT_EQ(sys_.Read(fd, 2, &data).n, 2u);
+  EXPECT_EQ(data, "ab");
+  EXPECT_EQ(sys_.Read(fd, 2, &data).n, 2u);
+  EXPECT_EQ(data, "cd");
+  EXPECT_EQ(sys_.Read(fd, 10, &data).n, 2u);
+  EXPECT_EQ(data, "ef");
   EXPECT_EQ(sys_.Read(fd, 10).n, 0u) << "drained: EAGAIN";
 }
 
@@ -199,8 +206,9 @@ TEST_F(SimWorldTest, EofAfterPeerClose) {
   RunFor(Millis(5));
   auto server_sock = sys_.socket(fd);
   EXPECT_NE(server_sock->PollMask() & kPollIn, 0);
-  ReadResult r = sys_.Read(fd, 100);
-  EXPECT_EQ(r.data, "bye") << "data before FIN drains first";
+  std::string data;
+  ReadResult r = sys_.Read(fd, 100, &data);
+  EXPECT_EQ(data, "bye") << "data before FIN drains first";
   r = sys_.Read(fd, 100);
   EXPECT_TRUE(r.eof);
 }
@@ -263,7 +271,9 @@ TEST_F(SimWorldTest, DataBeforeAcceptIsReadableAfterAccept) {
   RunFor(Millis(5));
   const int fd = sys_.Accept(listen_fd_);
   ASSERT_GE(fd, 0);
-  EXPECT_EQ(sys_.Read(fd, 100).data, "early");
+  std::string data;
+  EXPECT_EQ(sys_.Read(fd, 100, &data).n, 5u);
+  EXPECT_EQ(data, "early");
 }
 
 }  // namespace

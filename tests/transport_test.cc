@@ -38,12 +38,13 @@ std::string DriveTransfer(Simulator& sim, Sys& sys, int fd,
                           const std::string& body) {
   std::string received;
   client->on_data = [&received, client](size_t) {
+    std::string chunk;
     for (;;) {
-      ReadResult r = client->Read(1 << 20);
+      ReadResult r = client->Read(1 << 20, &chunk);
       if (r.n == 0) {
         break;
       }
-      received.append(r.data);
+      received.append(chunk);
     }
   };
   size_t off = 0;
@@ -140,13 +141,15 @@ TEST_F(TransportWorldTest, RoundTripCarriesRealBytesBothWays) {
 
   EXPECT_EQ(client->Write(Chunk{"GET /index.html", 0}), 15u);
   RunFor(Millis(50));
-  ReadResult req = sys_.Read(fd, 100);
-  EXPECT_EQ(req.data, "GET /index.html");
+  std::string req;
+  EXPECT_EQ(sys_.Read(fd, 100, &req).n, 15u);
+  EXPECT_EQ(req, "GET /index.html");
 
   std::string got;
   client->on_data = [&got, client = client](size_t) {
-    ReadResult r = client->Read(1 << 20);
-    got.append(r.data);
+    std::string chunk;
+    (void)client->Read(1 << 20, &chunk);
+    got.append(chunk);
   };
   EXPECT_GT(sys_.Write(fd, Chunk{"HTTP/1.0 200 OK", 0}), 0);
   RunFor(Millis(50));
@@ -389,12 +392,13 @@ SimDuration TailLossCompletionTime(CcKind kind) {
   const std::string body = MakePattern(16 * kTcpMss);
   std::string received;
   client->on_data = [&received, client](size_t) {
+    std::string chunk;
     for (;;) {
-      ReadResult r = client->Read(1 << 20);
+      ReadResult r = client->Read(1 << 20, &chunk);
       if (r.n == 0) {
         break;
       }
-      received.append(r.data);
+      received.append(chunk);
     }
   };
   const SimTime start = w.sim.now();
@@ -419,6 +423,35 @@ TEST(TransportRecovery, RackRecoversTailLossFasterThanReno) {
 
 // --- close paths -------------------------------------------------------------
 
+// The lifetime rule in transport_plane.h: a client socket that is closed but
+// still held keeps ACKing the server's data; once the socket is destroyed,
+// segments for it are stale and get no ACK. (The load generator holds every
+// finished client's socket, so its runs depend on the first half.)
+TEST_F(TransportWorldTest, ClosedHeldSocketAcksUntilDestroyed) {
+  AttachPlane();
+  auto [client, fd] = EstablishedPair();
+  // The client's own data never arrives, so its block cannot drain and
+  // outlives the close.
+  plane_->set_loss_hook(
+      [](bool server_sender, uint32_t, uint16_t) { return !server_sender; });
+  EXPECT_EQ(client->Write(Chunk{"GET /", 0}), 5u);
+  client->Close();
+  const std::shared_ptr<SimSocket> server = sys_.socket(fd);
+  const uint64_t stale_before = plane_->stats().segments_stale;
+
+  EXPECT_EQ(sys_.Write(fd, Chunk{"", 1000}), 1000);
+  RunFor(Millis(20));
+  EXPECT_EQ(server->in_flight(), 0u) << "the closed, held client ACKed";
+  EXPECT_EQ(plane_->stats().segments_stale, stale_before);
+
+  EXPECT_EQ(sys_.Write(fd, Chunk{"", 1000}), 1000);
+  client.reset();  // destroyed while the segment is on the wire
+  RunFor(Millis(20));
+  EXPECT_GT(plane_->stats().segments_stale, stale_before);
+  EXPECT_EQ(server->in_flight(), 1000u) << "nothing ACKs for a destroyed socket";
+}
+
+
 TEST_F(TransportWorldTest, FinBehindLostSegmentWaitsForRepair) {
   AttachPlane();
   auto [client, fd] = EstablishedPair();
@@ -428,12 +461,13 @@ TEST_F(TransportWorldTest, FinBehindLostSegmentWaitsForRepair) {
   const std::string body = MakePattern(5 * kTcpMss);
   std::string received;
   client->on_data = [&received, client](size_t) {
+    std::string chunk;
     for (;;) {
-      ReadResult r = client->Read(1 << 20);
+      ReadResult r = client->Read(1 << 20, &chunk);
       if (r.n == 0) {
         break;
       }
-      received.append(r.data);
+      received.append(chunk);
     }
   };
   EXPECT_EQ(sys_.Write(fd, Chunk{body, 0}), static_cast<long>(body.size()));
