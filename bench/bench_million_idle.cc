@@ -208,8 +208,7 @@ PointResult RunPoint(ServerKind kind, size_t target, bool with_transport) {
   config.server_config.syn_backlog.max_half_open = static_cast<int>(kConnectBatch) * 2;
   // The fleet is idle by design; only the sweep machinery should tick.
   config.server_config.idle_timeout = Seconds(1000000);
-  const std::unique_ptr<HttpServerBase> server =
-      MakeServer(config, &sys, &content, /*wake_one=*/false);
+  const std::unique_ptr<HttpServerBase> server = MakeServer(config, &sys, &content);
   if (server->Setup() < 0 || server->SetupEvents() < 0) {
     return r;
   }

@@ -5,8 +5,10 @@
 //  1. Herd ablation (light load, 501 inactive connections, workers mostly
 //     asleep): counts listener wakeups per accepted connection. Shared
 //     wake-all reproduces the pre-2.3 thundering herd (wakeups/accept grows
-//     with N); shared wake-one (WQ_FLAG_EXCLUSIVE + round-robin signals)
-//     pins it at ~1; sharded accept has no shared queue at all.
+//     with N); shared wake-one (a wake-one listener: one registration and
+//     one signal subscriber per SYN, taken in turn) pins it at ~1; sharded
+//     accept has no shared queue at all. With one worker the three modes
+//     are the same run.
 //
 //  2. Scaling sweep (offered load past single-CPU saturation, gigabit link):
 //     reply rate as workers/CPUs grow. One CPU saturates; sharded N-CPU
@@ -26,6 +28,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/load/benchmark_run.h"
@@ -221,7 +224,8 @@ int main(int argc, char** argv) {
 
   // --- acceptance checks -------------------------------------------------------
   // (a) wake-all herd grows with N; (b) wake-one stays ~1; (c) sharded
-  // throughput scales 1 -> 4 CPUs under saturating load.
+  // throughput scales 1 -> 4 CPUs under saturating load; (d) one worker
+  // shares its listener with no one, so at n=1 every mode is the same run.
   auto find = [](const std::vector<Row>& rows, const std::string& server,
                  const std::string& mode, int n) -> const Row* {
     for (const Row& row : rows) {
@@ -266,6 +270,20 @@ int main(int argc, char** argv) {
                 << sharded4->r.reply_avg << " < 3x 1-CPU " << sharded1->r.reply_avg
                 << "\n";
       ++failures;
+    }
+    const std::pair<const char*, const std::vector<Row>*> phases[] = {
+        {"herd", &herd_rows}, {"scaling", &scaling_rows}};
+    for (const auto& [phase, rows] : phases) {
+      const Row* wake_all1 = find(*rows, server, "shared-wake-all", 1);
+      for (const char* mode : {"shared-wake-one", "sharded"}) {
+        const Row* row1 = find(*rows, server, mode, 1);
+        if (wake_all1 == nullptr || row1 == nullptr ||
+            row1->r.signature != wake_all1->r.signature) {
+          std::cerr << "CHECK FAILED: " << server << " " << phase << " n=1 " << mode
+                    << " is not the n=1 shared-wake-all run\n";
+          ++failures;
+        }
+      }
     }
   }
 

@@ -205,15 +205,9 @@ void DevPollDevice::MarkHint(int fd, PollEvents mask) {
   if (options_.hinted_first_scan) {
     PushActive(*interest);
   }
-  // Wake a sleeping DP_POLL (and let composed pollers see us readable). In
-  // exclusive-wait mode the sleeper registered an exclusive waiter on the
-  // hinted file's own queue instead, so the file's wake_up() — not this
-  // broadcast — rouses exactly one sharer; the hint set above is still
-  // observed by whichever sleeper scans next.
-  if (!options_.exclusive_wait) {
-    owner_->Wake();
-    poll_wait().WakeAll();
-  }
+  // Wake a sleeping DP_POLL (and let composed pollers see us readable).
+  owner_->Wake();
+  poll_wait().WakeAll();
 }
 
 PollEvents DevPollDevice::EvaluateInterest(Interest& interest) {
@@ -411,12 +405,8 @@ int DevPollDevice::PollInternal(DvPoll* args) {
   // which is exactly what the cost model charges for.
   size_t used = 0;
   auto add_waiter = [&](Interest& interest) {
-    // Hintable interests wake us through MarkHint's broadcast — except in
-    // exclusive-wait mode, where the broadcast is suppressed and every file
-    // (hintable or not) gets an exclusive wait-queue entry so a wake_up()
-    // rouses one sharer instead of the herd.
-    if (interest.hintable && !options_.exclusive_wait) {
-      return;
+    if (interest.hintable) {
+      return;  // MarkHint wakes us
     }
     if (std::shared_ptr<File> file = interest.file.lock()) {
       if (used == waiter_pool_.size()) {
@@ -424,12 +414,7 @@ int DevPollDevice::PollInternal(DvPoll* args) {
         waiter_pool_.push_back(std::make_unique<Waiter>(
             [proc = owner_] { proc->Wake(); }));
       }
-      if (options_.exclusive_wait) {
-        file->poll_wait().AddExclusive(waiter_pool_[used].get());
-        ++stats.wait_exclusive_adds;
-      } else {
-        file->poll_wait().Add(waiter_pool_[used].get());
-      }
+      file->poll_wait().Add(waiter_pool_[used].get());
       ++used;
       ++stats.poll_waitqueue_adds;
       kernel()->Charge(cost.poll_waitqueue_add_per_fd, ChargeCat::kWaitqueue);
@@ -437,7 +422,7 @@ int DevPollDevice::PollInternal(DvPoll* args) {
   };
   auto arm = [&] {
     used = 0;
-    if (options_.exclusive_wait || hintable_ < table_.size()) {
+    if (hintable_ < table_.size()) {
       table_.ForEach(add_waiter);  // not when every interest is hintable
     }
   };

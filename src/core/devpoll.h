@@ -46,12 +46,6 @@ struct DevPollOptions {
   bool hints_enabled = true;
   // §6 future work: scan only hinted / cached-ready interests.
   bool hinted_first_scan = false;
-  // Wake-one sleep (WQ_FLAG_EXCLUSIVE, the 2.3 herd fix): DP_POLL sleeps as
-  // an exclusive waiter on EVERY interest's wait queue — hintable ones too,
-  // since the hint path's broadcast Wake() would otherwise rouse all sharers
-  // of a file. The extra wait-queue churn is charged honestly; sharding is
-  // the mode that avoids both the herd and the churn.
-  bool exclusive_wait = false;
 };
 
 class DevPollDevice : public File {
@@ -146,8 +140,8 @@ class DevPollDevice : public File {
   // Pooled wait-queue entries for the non-hintable sleep path; grown on
   // demand, reused across sleep/wake cycles.
   std::vector<std::unique_ptr<Waiter>> waiter_pool_;
-  // Interests with hintable set. When it equals the table size (and
-  // exclusive_wait is off), no interest needs a waiter to sleep.
+  // Interests with hintable set. When it equals the table size, no interest
+  // needs a waiter to sleep.
   size_t hintable_ = 0;
 };
 

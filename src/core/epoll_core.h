@@ -17,8 +17,10 @@
 //   - kEpollOneshot disables the interest after one delivery until a
 //     kEpollCtlMod re-arms it;
 //   - a blocking wait (SimKernel::WaitFor) sleeps as an *exclusive* waiter
-//     on the device's own wait queue, so a driver notification wakes
-//     exactly one sleeper (the SMP wake-one fix, at the event-core layer).
+//     on the device's own wait queue, so a driver notification wakes one
+//     sleeper of this device. Workers that each own a device and share a
+//     listener still all hear its SYNs, one registration each, unless the
+//     listener is wake-one (File::set_wake_one).
 
 #ifndef SRC_CORE_EPOLL_CORE_H_
 #define SRC_CORE_EPOLL_CORE_H_

@@ -17,7 +17,9 @@
 //     level-triggered and re-reports while the filter holds;
 //   - EV_ONESHOT deletes the knote after one delivery;
 //   - blocking waits (SimKernel::WaitFor) sleep as one exclusive waiter on
-//     the kqueue's own wait queue (wake-one, like the epoll core).
+//     the kqueue's own wait queue, so an activation wakes one sleeper of
+//     this kqueue; as with the epoll core, a shared listener reaches one
+//     kqueue per SYN only when it is wake-one (File::set_wake_one).
 
 #ifndef SRC_CORE_KQUEUE_CORE_H_
 #define SRC_CORE_KQUEUE_CORE_H_

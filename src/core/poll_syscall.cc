@@ -97,12 +97,7 @@ int PollSyscall::Poll(std::span<PollFd> fds, int timeout_ms) {
         waiter_pool_.push_back(std::make_unique<Waiter>(
             [proc = proc_] { proc->Wake(); }));
       }
-      if (options_.exclusive_wait) {
-        file->poll_wait().AddExclusive(waiter_pool_[used].get());
-        ++stats.wait_exclusive_adds;
-      } else {
-        file->poll_wait().Add(waiter_pool_[used].get());
-      }
+      file->poll_wait().Add(waiter_pool_[used].get());
       ++used;
       ++stats.poll_waitqueue_adds;
       if (options_.charge_waitqueue) {

@@ -24,10 +24,6 @@ namespace scio {
 struct PollSyscallOptions {
   // ABL-6: disable to measure how much of poll()'s cost is wait-queue churn.
   bool charge_waitqueue = true;
-  // Register sleep waiters as exclusive (WQ_FLAG_EXCLUSIVE): a wake_up() on
-  // a shared file rouses only one sleeping poller instead of the whole herd.
-  // The 2.3-era wake-one fix, off by default (2.2 semantics).
-  bool exclusive_wait = false;
 };
 
 class PollSyscall {

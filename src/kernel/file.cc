@@ -9,35 +9,42 @@ namespace scio {
 
 // sciolint: hotpath
 void File::NotifyStatus(PollEvents mask) {
-  // 1. Backmap hints and other listeners run first (driver context).
-  //    Snapshot: a listener callback must not mutate the list re-entrantly,
-  //    but hint marking can wake processes whose reaction could. The
-  //    snapshot lives on the stack unless the file has over 8 listeners.
+  // 1. Backmap hints and other listeners run first (driver context): on a
+  //    wake-one file the next one in turn, picked before the call because
+  //    the callback may remove listeners; otherwise all of them, from a
+  //    snapshot, because hint marking can wake processes whose reaction
+  //    could mutate the list. The snapshot lives on the stack unless the
+  //    file has over 8 listeners.
   if (!listeners_.empty()) {
-    const SmallVector<StatusListener*, 8> snapshot(listeners_.begin(), listeners_.size());
-    for (StatusListener* l : snapshot) {
+    if (wake_one_) {
+      StatusListener* l = listeners_[listener_rr_next_ % listeners_.size()];
+      listener_rr_next_ = (listener_rr_next_ + 1) % listeners_.size();
       l->OnFileStatus(*this, mask);
+    } else {
+      const SmallVector<StatusListener*, 8> snapshot(listeners_.begin(), listeners_.size());
+      for (StatusListener* l : snapshot) {
+        l->OnFileStatus(*this, mask);
+      }
     }
   }
   // 2. Queue the RT signal, if armed (paper §2: the kernel raises the
-  //    assigned signal whenever a read/write/close operation completes).
-  //    kAll fans the event out to every subscriber (herd); kRoundRobin
-  //    delivers it to exactly one, rotating in registration order.
+  //    assigned signal whenever a read/write/close operation completes):
+  //    to every subscriber, or on a wake-one file to the next one in turn.
   if (!async_subs_.empty()) {
-    if (async_mode_ == AsyncDeliveryMode::kAll) {
-      for (const AsyncSub& sub : async_subs_) {
-        kernel_->QueueRtSignal(*sub.proc, SigInfo{sub.signo, fd_number_, mask});
-      }
-    } else {
+    if (wake_one_) {
       const AsyncSub& sub = async_subs_[async_rr_next_ % async_subs_.size()];
       async_rr_next_ = (async_rr_next_ + 1) % async_subs_.size();
       kernel_->QueueRtSignal(*sub.proc, SigInfo{sub.signo, fd_number_, mask});
+    } else {
+      for (const AsyncSub& sub : async_subs_) {
+        kernel_->QueueRtSignal(*sub.proc, SigInfo{sub.signo, fd_number_, mask});
+      }
     }
   }
   // 3. Wake blocked poll()/DP_POLL/sigwaitinfo sleepers. wake_up(), not
-  //    wake_up_all(): with no exclusive waiters registered (every pre-SMP
-  //    configuration) the two are identical; with exclusive waiters this is
-  //    where the 2.3 wake-one fix takes effect.
+  //    wake_up_all(): poll() and DP_POLL register plain waiters, which all
+  //    wake; only an epoll or kqueue device's own queue holds an exclusive
+  //    waiter, its one Wait sleeper.
   poll_wait_.WakeOne();
 }
 

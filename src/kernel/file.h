@@ -5,10 +5,17 @@
 // expensive operation), and pushes state-change notifications through
 // NotifyStatus(). Notifications fan out to:
 //   1. registered StatusListeners — /dev/poll backmap links use these to set
-//      hints (paper §3.2);
-//   2. the owner's RT signal queue, if fcntl(F_SETSIG) armed one (paper §2);
+//      hints (paper §3.2), epoll and kqueue registrations to queue events;
+//   2. the owners' RT signal queues, if fcntl(F_SETSIG) armed any (paper §2);
 //   3. the file's poll wait queue, waking blocked poll()/DP_POLL sleepers.
 // Hints are set before sleepers wake, so a woken scan always observes them.
+//
+// A file several processes share (a pool's listener) gives each change to
+// every listener and subscriber: the 2.2 thundering herd, on purpose. A
+// wake-one file (set_wake_one) gives it to one of each, taken in turn in
+// registration order. EPOLLEXCLUSIVE instead wakes the first registrant
+// with a sleeper; rotating needs no knowledge of who sleeps. poll()
+// sleepers on the wait queue still all wake, as in Linux.
 
 #ifndef SRC_KERNEL_FILE_H_
 #define SRC_KERNEL_FILE_H_
@@ -34,14 +41,6 @@ class StatusListener {
   // listeners on `file`.
   virtual void OnDescriptorClosed(File& file) { (void)file; }
 };
-
-// How NotifyStatus distributes the RT signal when several processes have
-// armed async signals on the same file (N workers sharing one listener fd):
-//  - kAll mirrors 2.2 SIGIO fan-out: every subscriber gets the signal — the
-//    thundering herd, reproduced on purpose;
-//  - kRoundRobin delivers each event to exactly one subscriber, rotating —
-//    the signal-plane analogue of the wake-one wait-queue fix.
-enum class AsyncDeliveryMode { kAll, kRoundRobin };
 
 // What a File is, for the syscalls that take one kind only: read(), write()
 // and accept() check it instead of a dynamic_cast, and a wrong kind is
@@ -94,7 +93,9 @@ class File {
   // (the legacy single-owner disarm path).
   void SetAsyncSignal(Process* owner, int signo);
 
-  void SetAsyncDeliveryMode(AsyncDeliveryMode mode) { async_mode_ = mode; }
+  // Hand each status change to one listener and one signal subscriber,
+  // rotating, instead of to all of them.
+  void set_wake_one(bool wake_one) { wake_one_ = wake_one; }
 
   // The fd number this file is installed under (for signal payloads and
   // result reporting). Maintained by FdTable.
@@ -113,7 +114,9 @@ class File {
   // subscriber, which live inline.
   SmallVector<StatusListener*, 1> listeners_;
   SmallVector<AsyncSub, 1> async_subs_;
-  AsyncDeliveryMode async_mode_ = AsyncDeliveryMode::kAll;
+  bool wake_one_ = false;
+  // The next listener and subscriber a wake-one file hands a change to.
+  size_t listener_rr_next_ = 0;
   size_t async_rr_next_ = 0;
   int fd_number_ = -1;
   FileKind kind_;

@@ -13,7 +13,9 @@
 //    FIFO registration order.
 // WakeOne() is Linux's wake_up(): all normal waiters plus the first
 // exclusive one. WakeAll() (wake_up_all) ignores exclusivity and wakes
-// everyone — this is the 2.2 herd behaviour the SMP benches reproduce.
+// everyone. poll() and DP_POLL sleep on normal waiters only; an epoll or
+// kqueue wait is the one exclusive waiter on its own device's queue. A
+// shared listener's wake-one is File::set_wake_one, not a waiter flavour.
 
 #ifndef SRC_KERNEL_WAIT_QUEUE_H_
 #define SRC_KERNEL_WAIT_QUEUE_H_

@@ -38,25 +38,19 @@ std::string ServerKindName(ServerKind kind) {
 }
 
 std::unique_ptr<HttpServerBase> MakeServer(const BenchmarkRunConfig& config, Sys* sys,
-                                           const StaticContent* content, bool wake_one) {
-  ThttpdDevPollConfig devpoll = config.devpoll_config;
-  devpoll.devpoll.exclusive_wait = devpoll.devpoll.exclusive_wait || wake_one;
+                                           const StaticContent* content) {
   switch (config.server) {
     case ServerKind::kThttpdPoll:
       return std::make_unique<ThttpdPoll>(sys, content, config.server_config,
                                           config.poll_options);
     case ServerKind::kThttpdDevPoll:
-      return std::make_unique<ThttpdDevPoll>(sys, content, config.server_config, devpoll);
+      return std::make_unique<ThttpdDevPoll>(sys, content, config.server_config,
+                                             config.devpoll_config);
     case ServerKind::kPhhttpd:
-      if (wake_one) {
-        PollSyscallOptions opts;
-        opts.exclusive_wait = true;
-        sys->poll_syscall() = PollSyscall(&sys->kernel(), &sys->proc(), opts);
-      }
       return std::make_unique<Phhttpd>(sys, content, config.server_config);
     case ServerKind::kHybrid:
-      return std::make_unique<HybridServer>(sys, content, config.server_config, devpoll,
-                                            config.hybrid_config);
+      return std::make_unique<HybridServer>(sys, content, config.server_config,
+                                            config.devpoll_config, config.hybrid_config);
     case ServerKind::kThttpdEpoll:
     case ServerKind::kThttpdEpollEt:
       return std::make_unique<ThttpdEpoll>(
@@ -171,10 +165,8 @@ BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
   pool_config.worker_max_fds = config.server_max_fds;
   pool_config.seed = config.seed;
   pool_config.rt_queue_max = config.rt_queue_max;
-  const bool wake_one = config.mode == ListenerMode::kSharedWakeOne;
-  WorkerPool pool(&kernel, &net, pool_config, [&config, &content, wake_one](Sys* sys) {
-    return MakeServer(config, sys, &content, wake_one);
-  });
+  WorkerPool pool(&kernel, &net, pool_config,
+                  [&config, &content](Sys* sys) { return MakeServer(config, sys, &content); });
 
   BenchmarkResult result;
   result.target_rate = config.active.request_rate;
@@ -189,19 +181,12 @@ BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
     return result;
   }
 
-  // The distinct listeners: the shared one, or one per shard. One defense
-  // spans them all, and every server reports into it.
-  std::vector<std::shared_ptr<SimListener>> shards;
-  for (int i = 0; i < pool.workers(); ++i) {
-    auto shard = pool.sys(i).listener(pool.server(i).listener_fd());
-    if (std::find(shards.begin(), shards.end(), shard) == shards.end()) {
-      shards.push_back(std::move(shard));
-    }
-  }
+  // One defense spans every listener of the pool, and every server reports
+  // into it.
   std::unique_ptr<AdaptiveDefense> defense;
   if (config.adaptive_defense) {
     defense = std::make_unique<AdaptiveDefense>(&kernel, chain.get(), config.defense);
-    for (const auto& shard : shards) {
+    for (const auto& shard : pool.listeners()) {
       defense->AddListener(shard);
     }
     for (int i = 0; i < pool.workers(); ++i) {
@@ -323,7 +308,7 @@ BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
   if (transport != nullptr) {
     result.transport_stats = transport->stats();
   }
-  for (const auto& shard : shards) {
+  for (const auto& shard : pool.listeners()) {
     result.syn_backlog_peak =
         std::max<uint64_t>(result.syn_backlog_peak, shard->syn_backlog_peak());
   }

@@ -204,13 +204,11 @@ BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config);
 std::string RunSignature(const BenchmarkResult& result);
 
 // Builds the server `config.server` names on `sys`, with that kind's
-// options from `config`. `wake_one` bakes in a kSharedWakeOne pool's
-// exclusive waiters: /dev/poll's for thttpd-devpoll and hybrid, poll()'s for
-// phhttpd's fallback path (its signal-mode wake-one is the listener's
-// round-robin delivery, set by the WorkerPool). The caller runs Setup() and
-// then SetupEvents().
+// options from `config`. The listener mode is not the server's business: a
+// kSharedWakeOne pool sets wake-one on its shared listener. The caller runs
+// Setup() and then SetupEvents().
 std::unique_ptr<HttpServerBase> MakeServer(const BenchmarkRunConfig& config, Sys* sys,
-                                           const StaticContent* content, bool wake_one);
+                                           const StaticContent* content);
 
 }  // namespace scio
 

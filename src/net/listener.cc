@@ -82,9 +82,10 @@ void SimListener::HandleSyn(const std::shared_ptr<SimSocket>& client) {
   client->WirePeer(server);
   backlog_.push_back(std::move(server));
   // Herd metric: every Process::Wake() triggered by this SYN's notification
-  // fan-out (poll sleepers, devpoll owners via hint backmaps, RT-signal
-  // deliveries) is a listener wakeup. wakeups/accept ≈ 1 is the wake-one
-  // ideal; N sleeping workers woken per SYN is the 2.2 thundering herd.
+  // fan-out (poll sleepers, devpoll owners via hint backmaps, epoll and
+  // kqueue sleepers via their registrations, RT-signal deliveries) is a
+  // listener wakeup. wakeups/accept ≈ 1 is the wake-one ideal; N sleeping
+  // workers woken per SYN is the 2.2 thundering herd.
   const uint64_t wakes_before = kernel()->TotalProcessWakes();
   NotifyStatus(kPollIn);
   kernel()->stats().wait_listener_syn_wakeups +=

@@ -1,10 +1,12 @@
 // SimSocket: one endpoint of a simulated TCP connection.
 //
-// TCP is modelled at the byte-stream level: connect and close handshakes cost
-// one propagation latency, data serializes over the shared Link, receive
-// buffers are finite, and a FIN makes the peer's socket readable (read()
-// returns remaining data, then 0). Segment loss and retransmission are not
-// modelled — the paper's testbed was a quiet switched LAN.
+// By default TCP is modelled at the byte-stream level: connect and close
+// handshakes cost one propagation latency, data serializes over the shared
+// Link, receive buffers are finite, and a FIN makes the peer's socket
+// readable (read() returns remaining data, then 0). This reliable pipe loses
+// nothing — the paper's testbed was a quiet switched LAN. Segments, loss,
+// SACK and retransmission come with the opt-in TransportPlane
+// (src/transport), which attaches through the socket's transport hook.
 //
 // A socket can live on either machine:
 //  - the *server side* is installed in a Process fd table and participates in

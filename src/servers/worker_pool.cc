@@ -39,21 +39,19 @@ int WorkerPool::Setup() {
       if (fd < 0) {
         return fd;
       }
-      reuseport_->Add(w.sys->listener(fd));
+      listeners_.push_back(w.sys->listener(fd));
+      reuseport_->Add(listeners_.back());
     }
-    head_listener_ = reuseport_->member(0);
   } else {
     const int fd = workers_.front().server->Setup();
     if (fd < 0) {
       return fd;
     }
-    head_listener_ = workers_.front().sys->listener(fd);
-    // One SYN either signals every subscriber (the herd) or exactly one.
-    head_listener_->SetAsyncDeliveryMode(config_.mode == ListenerMode::kSharedWakeOne
-                                             ? AsyncDeliveryMode::kRoundRobin
-                                             : AsyncDeliveryMode::kAll);
+    listeners_.push_back(workers_.front().sys->listener(fd));
+    // One SYN reaches every worker's registrations (the herd) or one.
+    listeners_.front()->set_wake_one(config_.mode == ListenerMode::kSharedWakeOne);
     for (size_t i = 1; i < workers_.size(); ++i) {
-      const int fd_i = workers_[i].server->AdoptListener(head_listener_);
+      const int fd_i = workers_[i].server->AdoptListener(listeners_.front());
       if (fd_i < 0) {
         return fd_i;
       }

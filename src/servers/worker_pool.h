@@ -3,13 +3,15 @@
 // Recreates the three ways a multi-process Linux server of the era could
 // share inbound connections, so bench_smp_scaling can compare them head on:
 //
-//  - kSharedWakeAll: every worker inherits one listener (fork-style) and
-//    sleeps on its wait queue with ordinary waiters; every SYN wakes the
-//    whole pool (the thundering herd, pre-2.3 semantics).
-//  - kSharedWakeOne: same shared listener, but workers register exclusive
-//    waiters (WQ_FLAG_EXCLUSIVE) and RT signals round-robin across the
-//    subscribers, so each SYN wakes exactly one worker (the 2.3 wake-one
-//    patch).
+//  - kSharedWakeAll: every worker inherits one listener (fork-style); every
+//    SYN reaches every worker's registration on it, hint, ready-list link
+//    or signal, and so wakes the whole pool (the thundering herd, pre-2.3
+//    semantics).
+//  - kSharedWakeOne: the same listener, set wake-one (File::set_wake_one):
+//    each SYN goes to one registration and one signal subscriber, taken in
+//    turn, so it wakes one worker whatever event core the workers run.
+//    poll() sleepers sit on the listener's own wait queue and still all
+//    wake, as in Linux.
 //  - kSharded: each worker binds its own SO_REUSEPORT-style listener and a
 //    seeded flow hash spreads SYNs across the shards; no shared queue at
 //    all.
@@ -39,8 +41,8 @@
 namespace scio {
 
 enum class ListenerMode {
-  kSharedWakeAll,   // one listener, plain waiters: herd wakeups
-  kSharedWakeOne,   // one listener, exclusive waiters + round-robin signals
+  kSharedWakeAll,   // one listener, every registration per change: herd
+  kSharedWakeOne,   // one wake-one listener: one registration per change
   kSharded,         // per-worker listeners behind a ReusePortGroup
 };
 
@@ -58,9 +60,8 @@ struct WorkerPoolConfig {
   size_t rt_queue_max = kDefaultRtQueueMax;
 };
 
-// Builds one server per worker. The factory must bake mode-appropriate
-// options into the instance it returns (e.g. exclusive-wait /dev/poll or
-// poll() options for kSharedWakeOne).
+// Builds one server per worker. The server needs no mode-specific options:
+// the pool shares or shards the listener and applies the mode to it.
 using ServerFactory = std::function<std::unique_ptr<HttpServerBase>(Sys* sys)>;
 
 class WorkerPool {
@@ -76,9 +77,12 @@ class WorkerPool {
   // Runs all workers to `until` on a fresh SmpScheduler. Call once.
   void Run(SimTime until);
 
-  // The listener load generators should target. For kSharded this is shard 0;
-  // the ReusePortGroup reroutes each SYN to its hashed member.
-  const std::shared_ptr<SimListener>& head_listener() const { return head_listener_; }
+  // Valid after a successful Setup(). The listener load generators should
+  // target: for kSharded this is shard 0, and the ReusePortGroup reroutes
+  // each SYN to its hashed member.
+  const std::shared_ptr<SimListener>& head_listener() const { return listeners_.front(); }
+  // The distinct listeners: the shared one, or the shards in worker order.
+  const std::vector<std::shared_ptr<SimListener>>& listeners() const { return listeners_; }
 
   int workers() const { return static_cast<int>(workers_.size()); }
   HttpServerBase& server(int i) { return *workers_[i].server; }
@@ -100,7 +104,7 @@ class WorkerPool {
   WorkerPoolConfig config_;
   ServerFactory factory_;
   std::vector<Worker> workers_;
-  std::shared_ptr<SimListener> head_listener_;
+  std::vector<std::shared_ptr<SimListener>> listeners_;
   std::unique_ptr<ReusePortGroup> reuseport_;
   std::unique_ptr<SmpScheduler> sched_;
 };

@@ -502,22 +502,17 @@ void TransportPlane::OnDataSegment(bool rcv_server, int32_t ri, uint32_t rgen,
   // the sender can never drain, never FINs, and RTOs an orphan until the
   // backoff limit.
   if (r.conns.Contains(ri) && r.conns.generation(ri) == rgen) {
-    SendAck(rcv_server, r.conns.At(ri), snd_server, si, sgen);
+    const TcpConn& live = r.conns.At(ri);
+    SendAck(rcv_server, live.rcv_nxt,
+            live.hot != kNilIndex ? &r.hot.At(live.hot) : nullptr, snd_server, si, sgen);
     MaybeQuiesce(rcv_server, ri);
     return;
   }
-  if (rcv_server) {
-    kernel_->ChargeDebt(kernel_->cost().tcp_ack_generate, ChargeCat::kTcpAck);
-  }
-  ++stats_.acks_sent;
-  net_->LinkFor(snd_server)
-      .Transmit(kTcpHeaderBytes, [this, snd_server, si, sgen, ack_seq]() {
-        OnAckPacket(snd_server, si, sgen, ack_seq, {}, {}, 0);
-      });
+  SendAck(rcv_server, ack_seq, nullptr, snd_server, si, sgen);
 }
 
-void TransportPlane::SendAck(bool rcv_server, TcpConn& rc, bool snd_server,
-                             int32_t si, uint32_t sgen) {
+void TransportPlane::SendAck(bool rcv_server, uint32_t ack, const TcpHot* sack,
+                             bool snd_server, int32_t si, uint32_t sgen) {
   if (rcv_server) {
     kernel_->ChargeDebt(kernel_->cost().tcp_ack_generate, ChargeCat::kTcpAck);
   }
@@ -525,12 +520,11 @@ void TransportPlane::SendAck(bool rcv_server, TcpConn& rc, bool snd_server,
   std::array<uint32_t, 3> start{};
   std::array<uint32_t, 3> end{};
   uint8_t n = 0;
-  if (rc.hot != kNilIndex) {
+  if (sack != nullptr) {
     // Up to three SACK ranges, merged while contiguous (the map is seq
     // ordered). The extension check runs before the capacity check so a run
     // touching the third range still grows it.
-    const TcpHot& rh = side(rcv_server).hot.At(rc.hot);
-    for (const auto& [seq, chunk] : rh.ooo) {
+    for (const auto& [seq, chunk] : sack->ooo) {
       const uint32_t len = static_cast<uint32_t>(chunk.size());
       if (n > 0 && seq == end[n - 1]) {
         end[n - 1] = seq + len;
@@ -544,7 +538,6 @@ void TransportPlane::SendAck(bool rcv_server, TcpConn& rc, bool snd_server,
       ++n;
     }
   }
-  const uint32_t ack = rc.rcv_nxt;
   net_->LinkFor(snd_server)
       .Transmit(kTcpHeaderBytes, [this, snd_server, si, sgen, ack, start, end,
                                   n]() {

@@ -164,8 +164,11 @@ class TransportPlane : public TcpTransportHook {
                      Chunk chunk);
   void OnFinSegment(bool rcv_server, int32_t ri, uint32_t rgen,
                     uint32_t fin_seq);
-  void SendAck(bool rcv_server, TcpConn& rc, bool snd_server, int32_t si,
-               uint32_t sgen);
+  // ACK `ack` toward the sender, with up to three SACK ranges from `sack`'s
+  // out-of-order queue (none when null: no hot block, or a receiver that a
+  // delivery callback tore down).
+  void SendAck(bool rcv_server, uint32_t ack, const TcpHot* sack, bool snd_server,
+               int32_t si, uint32_t sgen);
   void OnAckPacket(bool server, int32_t ci, uint32_t gen, uint32_t ack,
                    std::array<uint32_t, 3> sack_start,
                    std::array<uint32_t, 3> sack_end, uint8_t sack_count);

@@ -190,6 +190,73 @@ TEST_F(KernelFixture, NotifyStatusQueuesArmedSignal) {
   EXPECT_EQ(si->band, kPollIn);
 }
 
+// A wake-one file hands each change to one listener and one subscriber,
+// each taken in turn in registration order; poll sleepers still all wake.
+TEST_F(KernelFixture, WakeOneFileHandsEachChangeToTheNextListenerAndSubscriber) {
+  Process& a = kernel.CreateProcess("a");
+  Process& b = kernel.CreateProcess("b");
+  FakeFile file(&kernel);
+  file.set_wake_one(true);
+  RecordingListener listeners[3];
+  for (RecordingListener& l : listeners) {
+    file.AddStatusListener(&l);
+  }
+  file.SetAsyncSignal(&a, kSigRtMin + 1);
+  file.SetAsyncSignal(&b, kSigRtMin + 1);
+  int poll_wakes = 0;
+  Waiter sleeper_a([&] { ++poll_wakes; });
+  Waiter sleeper_b([&] { ++poll_wakes; });
+  file.poll_wait().Add(&sleeper_a);
+  file.poll_wait().Add(&sleeper_b);
+
+  for (int change = 0; change < 4; ++change) {
+    file.NotifyStatus(kPollIn);
+  }
+  EXPECT_EQ(listeners[0].calls, 2);
+  EXPECT_EQ(listeners[1].calls, 1);
+  EXPECT_EQ(listeners[2].calls, 1);
+  EXPECT_EQ(a.rt_queue_length(), 2u);
+  EXPECT_EQ(b.rt_queue_length(), 2u);
+  EXPECT_EQ(poll_wakes, 8) << "poll() sleepers herd";
+
+  // Back to the default: every listener hears every change.
+  file.set_wake_one(false);
+  file.NotifyStatus(kPollIn);
+  EXPECT_EQ(listeners[0].calls, 3);
+  EXPECT_EQ(listeners[1].calls, 2);
+  EXPECT_EQ(listeners[2].calls, 2);
+  EXPECT_EQ(a.rt_queue_length(), 3u);
+  EXPECT_EQ(b.rt_queue_length(), 3u);
+}
+
+// The listener a wake-one file picks may remove listeners, itself included.
+class SelfRemovingListener : public StatusListener {
+ public:
+  void OnFileStatus(File& file, PollEvents mask) override {
+    (void)mask;
+    ++calls;
+    file.RemoveStatusListener(this);
+  }
+  int calls = 0;
+};
+
+TEST_F(KernelFixture, WakeOneFileSurvivesAListenerThatRemovesItself) {
+  FakeFile file(&kernel);
+  file.set_wake_one(true);
+  RecordingListener first;
+  SelfRemovingListener second;
+  file.AddStatusListener(&first);
+  file.AddStatusListener(&second);
+  file.NotifyStatus(kPollIn);  // first
+  file.NotifyStatus(kPollIn);  // second, which leaves
+  EXPECT_EQ(second.calls, 1);
+  EXPECT_EQ(file.status_listener_count(), 1u);
+  file.NotifyStatus(kPollIn);
+  file.NotifyStatus(kPollIn);
+  EXPECT_EQ(first.calls, 3);
+  EXPECT_EQ(second.calls, 1);
+}
+
 TEST_F(KernelFixture, NotifyStatusWakesPollSleepers) {
   Process& proc = kernel.CreateProcess("p");
   FakeFile file(&kernel);

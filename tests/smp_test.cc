@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -488,7 +489,6 @@ TEST(WorkerPoolRun, WakeAllHerdExceedsWakeOne) {
   ASSERT_TRUE(herd.setup_ok);
   ASSERT_TRUE(one.setup_ok);
   EXPECT_GT(herd.wakeups_per_accept, one.wakeups_per_accept);
-  EXPECT_GT(one.kernel_stats.wait_exclusive_adds, 0u);
 }
 
 TEST(WorkerPoolRun, ShardedSpreadsAcceptsAcrossWorkers) {
@@ -512,6 +512,62 @@ TEST(WorkerPoolRun, PhhttpdRoundRobinDeliverySpreadsSignals) {
   // Round-robin delivery: close to one listener wake per accepted conn.
   EXPECT_LT(r.wakeups_per_accept, 2.0);
 }
+
+// --- listener modes, per server kind --------------------------------------------
+
+constexpr ServerKind kEveryKind[] = {
+    ServerKind::kThttpdPoll,  ServerKind::kThttpdDevPoll,   ServerKind::kPhhttpd,
+    ServerKind::kHybrid,      ServerKind::kThttpdEpoll,     ServerKind::kThttpdEpollEt,
+    ServerKind::kPhhttpdKqueue};
+
+class ListenerModeTest : public ::testing::TestWithParam<ServerKind> {};
+
+// A one-worker pool shares its listener with no one, so the three listener
+// modes must give the same run, counter for counter.
+TEST_P(ListenerModeTest, OneWorkerRunIsTheSameInEveryMode) {
+  const BenchmarkResult wake_all =
+      RunBenchmark(QuickConfig(GetParam(), ListenerMode::kSharedWakeAll, 1, 1));
+  ASSERT_TRUE(wake_all.setup_ok);
+  EXPECT_GT(wake_all.successes, 100u);
+  for (ListenerMode mode : {ListenerMode::kSharedWakeOne, ListenerMode::kSharded}) {
+    const BenchmarkResult r = RunBenchmark(QuickConfig(GetParam(), mode, 1, 1));
+    EXPECT_EQ(r.signature, wake_all.signature) << ListenerModeName(mode);
+  }
+}
+
+// A wake-one listener wakes one worker per accept whatever core the
+// workers run, about as often as a sharded pool does. poll() sleepers are
+// the exception: they wait on the listener's own queue, and all of them
+// wake, as in Linux.
+TEST_P(ListenerModeTest, WakeOneWakesAboutOneWorkerPerAccept) {
+  const BenchmarkResult wake_all =
+      RunBenchmark(QuickConfig(GetParam(), ListenerMode::kSharedWakeAll, 4, 4));
+  const BenchmarkResult wake_one =
+      RunBenchmark(QuickConfig(GetParam(), ListenerMode::kSharedWakeOne, 4, 4));
+  const BenchmarkResult sharded =
+      RunBenchmark(QuickConfig(GetParam(), ListenerMode::kSharded, 4, 4));
+  ASSERT_TRUE(wake_all.setup_ok);
+  ASSERT_TRUE(wake_one.setup_ok);
+  ASSERT_TRUE(sharded.setup_ok);
+  EXPECT_GT(wake_one.total_accepted, 0u);
+  if (GetParam() == ServerKind::kThttpdPoll) {
+    EXPECT_EQ(wake_one.signature, wake_all.signature)
+        << "wakeups/accept " << wake_one.wakeups_per_accept << " vs "
+        << wake_all.wakeups_per_accept;
+    return;
+  }
+  EXPECT_LE(wake_one.wakeups_per_accept, sharded.wakeups_per_accept + 0.05)
+      << "wake-all " << wake_all.wakeups_per_accept;
+  EXPECT_LT(wake_one.wakeups_per_accept, wake_all.wakeups_per_accept)
+      << "sharded " << sharded.wakeups_per_accept;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, ListenerModeTest, ::testing::ValuesIn(kEveryKind),
+                         [](const ::testing::TestParamInfo<ServerKind>& info) {
+                           std::string name = ServerKindName(info.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 // Every pool builds the kind it is asked for: the event core it names is
 // the one the kernel sees working.
