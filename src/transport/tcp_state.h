@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "src/kernel/paged_slab.h"
 #include "src/net/socket.h"
@@ -75,23 +77,43 @@ struct TcpConn {
 static_assert(sizeof(TcpConn) == 28, "cold block budget is 28 bytes");
 
 // One segment in a sender's retransmit queue, living on the plane's bounded
-// TxSeg slab. prev/next link the per-connection queue in sequence order.
+// TxSeg slab. Each segment sits on up to three per-connection lists, linked
+// by slab index (heads and tails in TcpHot):
+//   - the retransmit queue, through `next`: every unacknowledged segment in
+//     sequence order; cumulative ACKs pop its head;
+//   - the un-SACKed list, through `unsacked`: exactly the queued segments
+//     with !sacked, in sequence order — SACK marking, the dupack and
+//     partial-ACK hole search, RTO marking and the tail-loss probe (its
+//     tail) walk it and never see a SACKed segment;
+//   - the RACK list, through `rack`: exactly the queued segments with
+//     !sacked && !lost, in order of their latest transmission, so tx_time
+//     never decreases from head to tail. Every send puts its segment at the
+//     tail (a first send or a repair links it there, a probe moves it
+//     there); a SACK or a lost mark unlinks it. RackDetect stops at the
+//     first segment it cannot mark.
 // The delivered_* snapshot fields implement BBR-style delivery-rate samples
 // (rate = delivered bytes since this segment left / time elapsed).
 struct TxSeg {
   uint32_t seq = 0;
   uint32_t len = 0;
-  int32_t prev = kNilIndex;
   int32_t next = kNilIndex;
+  uint32_t delivered_at_tx = 0;
+  IndexLink unsacked;
+  IndexLink rack;
   SimTime tx_time = 0;   // most recent transmission (RACK orders by this)
   SimTime first_tx = 0;
   SimTime delivered_time_at_tx = 0;
-  uint32_t delivered_at_tx = 0;
   uint16_t retx = 0;     // Karn's rule: only retx==0 segments yield RTT samples
   bool sacked = false;   // covered by a peer SACK range
   bool lost = false;     // marked by the scoreboard, awaiting retransmission
   bool app_limited = false;  // sender ran out of backlog when this left
   Chunk payload;
+};
+
+// Head and tail of one per-connection TxSeg list (kNilIndex when empty).
+struct SegListEnds {
+  int32_t head = kNilIndex;
+  int32_t tail = kNilIndex;
 };
 
 // Hot block: everything a connection needs only while data is in flight.
@@ -110,6 +132,8 @@ struct TcpHot {
   // --- sender ----------------------------------------------------------------
   int32_t rtx_head = kNilIndex;  // oldest in-flight segment
   int32_t rtx_tail = kNilIndex;
+  SegListEnds unsacked;          // see TxSeg
+  SegListEnds rack;
   uint32_t rtx_count = 0;
   uint32_t sacked_bytes = 0;
   uint32_t lost_bytes = 0;   // marked lost, not yet retransmitted
@@ -152,6 +176,11 @@ struct TcpHot {
 
   // --- receiver ----------------------------------------------------------------
   std::map<uint32_t, Chunk> ooo;  // out-of-order segments keyed by seq
+  // ooo merged into maximal contiguous [start, end) runs, ascending: a run
+  // ends where the next parked segment does not start. A parked segment
+  // extends or joins its neighbours; an in-order drain trims the first run.
+  // SendAck's SACK blocks are the first three.
+  std::vector<std::pair<uint32_t, uint32_t>> runs;
   uint32_t ooo_bytes = 0;
   bool fin_rcvd = false;     // peer FIN waiting for rcv_nxt to reach fin_seq
   uint32_t fin_seq = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
+#include <vector>
 
 #include "src/net/filter_chain.h"
 #include "src/net/socket.h"
@@ -32,6 +34,92 @@ constexpr size_t kMaxSegments = 1 << 16;      // bounded retransmit slab, per si
 // Orphaned blocks (socket destroyed, data unacked) give up after this many
 // consecutive RTO backoffs and release their slots.
 constexpr uint8_t kOrphanRtoLimit = 6;
+
+// --- per-connection TxSeg lists (TxSeg::unsacked, TxSeg::rack) --------------
+
+// sciolint: hotpath
+void SegPushBack(PagedStore<TxSeg>& segs, SegListEnds& list,
+                 IndexLink TxSeg::*link, int32_t si) {
+  IndexLink& l = segs.At(si).*link;
+  l.prev = list.tail;
+  l.next = kNilIndex;
+  if (list.tail != kNilIndex) {
+    (segs.At(list.tail).*link).next = si;
+  } else {
+    list.head = si;
+  }
+  list.tail = si;
+}
+
+// sciolint: hotpath
+void SegUnlink(PagedStore<TxSeg>& segs, SegListEnds& list,
+               IndexLink TxSeg::*link, int32_t si) {
+  IndexLink& l = segs.At(si).*link;
+  if (l.prev != kNilIndex) {
+    (segs.At(l.prev).*link).next = l.next;
+  } else {
+    list.head = l.next;
+  }
+  if (l.next != kNilIndex) {
+    (segs.At(l.next).*link).prev = l.prev;
+  } else {
+    list.tail = l.prev;
+  }
+  l = IndexLink{};
+}
+
+// Adds a parked segment [start, end) to the receiver's runs, joining the run
+// that ends at `start` and the one that begins at `end`. Runs are kept in the
+// ooo map's (numeric) key order.
+// sciolint: hotpath
+void AddRun(std::vector<std::pair<uint32_t, uint32_t>>& runs, uint32_t start,
+            uint32_t end) {
+  auto next = std::upper_bound(
+      runs.begin(), runs.end(), start,
+      [](uint32_t v, const std::pair<uint32_t, uint32_t>& r) { return v < r.first; });
+  const bool joins_prev = next != runs.begin() && std::prev(next)->second == start;
+  const bool joins_next = next != runs.end() && next->first == end;
+  if (joins_prev && joins_next) {
+    std::prev(next)->second = next->second;
+    runs.erase(next);
+  } else if (joins_prev) {
+    std::prev(next)->second = end;
+  } else if (joins_next) {
+    next->first = start;
+  } else {
+    runs.insert(next, {start, end});
+  }
+}
+
+// RACK's reorder window (RFC 8985 §6.2): srtt/4, at least 1 ms.
+SimDuration ReorderWindow(const TcpConn& c) {
+  return std::max<SimDuration>(Micros(c.srtt_us / 4), Millis(1));
+}
+
+// RFC 8985's detection walk over the RACK list: hands `lost` each segment
+// sent before the newest delivered one (rack_mstamp) that has waited a full
+// reorder window, and returns how long the next one still has to wait (0:
+// none waits). The list is in send order, so the walk ends at the first
+// segment it cannot mark. `lost` may unlink the segment it is given.
+// sciolint: hotpath
+template <typename OnLost>
+SimDuration RackWalk(PagedStore<TxSeg>& segs, const TcpHot& h,
+                     SimDuration reo_wnd, SimTime now, OnLost&& lost) {
+  for (int32_t si = h.rack.head; si != kNilIndex;) {
+    const TxSeg& seg = segs.At(si);
+    if (seg.tx_time >= h.rack_mstamp) {
+      return 0;  // this one and every later one left after the newest ACK
+    }
+    const SimDuration waited = now - seg.tx_time;
+    if (waited < reo_wnd) {
+      return reo_wnd - waited;
+    }
+    const int32_t next = seg.rack.next;
+    lost(si);
+    si = next;
+  }
+  return 0;
+}
 
 }  // namespace
 
@@ -167,6 +255,7 @@ TcpHot& TransportPlane::EnsureHot(Side& s, TcpConn& c) {
   h.peer_server = false;
   h.peer_known = false;
   h.rtx_head = h.rtx_tail = kNilIndex;
+  h.unsacked = h.rack = SegListEnds{};
   h.rtx_count = 0;
   h.sacked_bytes = 0;
   h.lost_bytes = 0;
@@ -197,6 +286,7 @@ TcpHot& TransportPlane::EnsureHot(Side& s, TcpConn& c) {
   h.tlp_armed = false;
   h.rto_armed = false;
   h.ooo.clear();
+  h.runs.clear();
   h.ooo_bytes = 0;
   h.fin_rcvd = false;
   h.fin_seq = 0;
@@ -283,17 +373,23 @@ void TransportPlane::Pump(bool server, int32_t ci) {
   CongestionControl* cc = GetCongestionControl(c.cc_kind());
   const uint32_t cwnd_bytes = static_cast<uint32_t>(c.cwnd_mss) * kTcpMss;
 
-  // Phase 1: repair. Segments the scoreboard marked lost go out first; the
-  // head of line may always be retransmitted even with the window full, or a
-  // zero-window recovery would deadlock.
-  for (int32_t si = h.rtx_head; si != kNilIndex;) {
+  // Phase 1: repair, only while something is marked lost. Lost segments go
+  // out first, in sequence order; the head of line may always be
+  // retransmitted even with the window full, or a zero-window recovery would
+  // deadlock. Lost segments are never SACKed, so the un-SACKed list holds
+  // them all, and the walk ends with the last one.
+  for (int32_t si = h.lost_bytes > 0 ? h.unsacked.head : kNilIndex;
+       si != kNilIndex;) {
     TxSeg& seg = s.segs.At(si);
-    const int32_t next = seg.next;
-    if (seg.lost && !seg.sacked) {
+    const int32_t next = seg.unsacked.next;
+    if (seg.lost) {
       if (Pipe(c, h) + kTcpMss > cwnd_bytes && seg.seq != c.snd_una) {
         break;
       }
       RetransmitSeg(server, ci, c, h, si);
+      if (h.lost_bytes == 0) {
+        break;
+      }
     }
     si = next;
   }
@@ -320,8 +416,8 @@ void TransportPlane::Pump(bool server, int32_t ci) {
     }
     TxSeg& seg = s.segs.At(si);
     seg.seq = c.snd_nxt;
-    seg.prev = h.rtx_tail;
     seg.next = kNilIndex;
+    seg.rack = IndexLink{};
     seg.retx = 0;
     seg.sacked = false;
     seg.lost = false;
@@ -335,6 +431,7 @@ void TransportPlane::Pump(bool server, int32_t ci) {
     if (h.rtx_head == kNilIndex) {
       h.rtx_head = static_cast<int32_t>(si);
     }
+    SegPushBack(s.segs, h.unsacked, &TxSeg::unsacked, static_cast<int32_t>(si));
     ++h.rtx_count;
     c.snd_nxt += seg.len;
     TransmitSeg(server, ci, c, h, static_cast<int32_t>(si));
@@ -352,12 +449,22 @@ void TransportPlane::Pump(bool server, int32_t ci) {
   MaybeQuiesce(server, ci);
 }
 
+// sciolint: hotpath
 void TransportPlane::TransmitSeg(bool server, int32_t ci, TcpConn& /*c*/,
                                  TcpHot& h, int32_t si) {
   Side& s = side(server);
   TxSeg& seg = s.segs.At(si);
   const SimTime now = kernel_->now();
   seg.tx_time = now;
+  // Every send is the newest in send order: a first send or a repair joins
+  // the RACK list's tail, a probe of a queued segment moves there. A probe
+  // of a segment still marked lost leaves it off the list until its repair.
+  if (!seg.lost) {
+    if (seg.rack.linked()) {
+      SegUnlink(s.segs, h.rack, &TxSeg::rack, si);
+    }
+    SegPushBack(s.segs, h.rack, &TxSeg::rack, si);
+  }
   seg.delivered_at_tx = h.delivered;
   seg.delivered_time_at_tx = h.delivered_time != 0 ? h.delivered_time : now;
   if (seg.retx == 0) {
@@ -412,6 +519,7 @@ void TransportPlane::RetransmitSeg(bool server, int32_t ci, TcpConn& c,
   TransmitSeg(server, ci, c, h, si);
 }
 
+// sciolint: hotpath
 void TransportPlane::OnDataSegment(bool rcv_server, int32_t ri, uint32_t rgen,
                                    bool snd_server, int32_t si, uint32_t sgen,
                                    uint32_t seq, Chunk chunk) {
@@ -473,6 +581,12 @@ void TransportPlane::OnDataSegment(bool rcv_server, int32_t ri, uint32_t rgen,
       const uint32_t nlen = static_cast<uint32_t>(next.size());
       rh.ooo.erase(it);
       rh.ooo_bytes -= nlen;
+      // The drained segment opened the first run.
+      auto& first = rh.runs.front();
+      first.first += nlen;
+      if (first.first == first.second) {
+        rh.runs.erase(rh.runs.begin());
+      }
       if (SeqLe(nseq + nlen, rc2.rcv_nxt)) {
         ++stats_.dup_segments;  // duplicate that was parked out of order
         continue;
@@ -491,6 +605,7 @@ void TransportPlane::OnDataSegment(bool rcv_server, int32_t ri, uint32_t rgen,
     if (inserted) {
       rh.ooo_bytes += len;
       ++stats_.ooo_buffered;
+      AddRun(rh.runs, seq, seq + len);
     } else {
       ++stats_.dup_segments;
     }
@@ -511,6 +626,7 @@ void TransportPlane::OnDataSegment(bool rcv_server, int32_t ri, uint32_t rgen,
   SendAck(rcv_server, ack_seq, nullptr, snd_server, si, sgen);
 }
 
+// sciolint: hotpath
 void TransportPlane::SendAck(bool rcv_server, uint32_t ack, const TcpHot* sack,
                              bool snd_server, int32_t si, uint32_t sgen) {
   if (rcv_server) {
@@ -521,21 +637,11 @@ void TransportPlane::SendAck(bool rcv_server, uint32_t ack, const TcpHot* sack,
   std::array<uint32_t, 3> end{};
   uint8_t n = 0;
   if (sack != nullptr) {
-    // Up to three SACK ranges, merged while contiguous (the map is seq
-    // ordered). The extension check runs before the capacity check so a run
-    // touching the third range still grows it.
-    for (const auto& [seq, chunk] : sack->ooo) {
-      const uint32_t len = static_cast<uint32_t>(chunk.size());
-      if (n > 0 && seq == end[n - 1]) {
-        end[n - 1] = seq + len;
-        continue;
-      }
-      if (n == 3) {
-        break;
-      }
-      start[n] = seq;
-      end[n] = seq + len;
-      ++n;
+    // Up to three SACK ranges: the first three merged out-of-order runs.
+    n = static_cast<uint8_t>(std::min<size_t>(sack->runs.size(), 3));
+    for (uint8_t k = 0; k < n; ++k) {
+      start[k] = sack->runs[k].first;
+      end[k] = sack->runs[k].second;
     }
   }
   net_->LinkFor(snd_server)
@@ -611,11 +717,15 @@ void TransportPlane::OnAckPacket(bool server, int32_t ci, uint32_t gen,
       }
       h.rack_mstamp = std::max(h.rack_mstamp, seg.tx_time);
       sample_rate(seg);
+      if (!seg.sacked) {
+        SegUnlink(s.segs, h.unsacked, &TxSeg::unsacked, head);
+        if (!seg.lost) {
+          SegUnlink(s.segs, h.rack, &TxSeg::rack, head);
+        }
+      }
       seg.payload = Chunk{};  // free the heap now, not at slot reuse
       const int32_t next = seg.next;
-      if (next != kNilIndex) {
-        s.segs.At(next).prev = kNilIndex;
-      } else {
+      if (next == kNilIndex) {
         h.rtx_tail = kNilIndex;
       }
       h.rtx_head = next;
@@ -627,24 +737,28 @@ void TransportPlane::OnAckPacket(bool server, int32_t ci, uint32_t gen,
     h.delivered_time = now;
   }
 
+  // SACK marking, range by range in sequence order (delivery-rate samples
+  // depend on that order), over the un-SACKed segments only.
   for (uint8_t k = 0; k < sack_count; ++k) {
     const uint32_t sb = sack_start[k];
     const uint32_t se = sack_end[k];
-    for (int32_t si = h.rtx_head; si != kNilIndex;) {
+    for (int32_t si = h.unsacked.head; si != kNilIndex;) {
       TxSeg& seg = s.segs.At(si);
-      const int32_t next = seg.next;
+      const int32_t next = seg.unsacked.next;
       if (SeqGe(seg.seq, se)) {
         break;
       }
-      if (!seg.sacked && SeqGe(seg.seq, sb) &&
-          SeqLe(seg.seq + seg.len, se)) {
+      if (SeqGe(seg.seq, sb) && SeqLe(seg.seq + seg.len, se)) {
         seg.sacked = true;
+        SegUnlink(s.segs, h.unsacked, &TxSeg::unsacked, si);
         h.sacked_bytes += seg.len;
         h.delivered += seg.len;
         newly_sacked += seg.len;
         if (seg.lost) {
           seg.lost = false;
           h.lost_bytes -= seg.len;
+        } else {
+          SegUnlink(s.segs, h.rack, &TxSeg::rack, si);
         }
         h.rack_mstamp = std::max(h.rack_mstamp, seg.tx_time);
         sample_rate(seg);
@@ -678,25 +792,13 @@ void TransportPlane::OnAckPacket(bool server, int32_t ci, uint32_t gen,
     RackDetect(server, ci, c, h);
   } else if (!h.in_recovery && h.dupacks >= 3) {
     // Classic fast retransmit: the first unsacked segment is the hole.
-    for (int32_t si = h.rtx_head; si != kNilIndex; si = s.segs.At(si).next) {
-      TxSeg& seg = s.segs.At(si);
-      if (!seg.sacked && !seg.lost) {
-        MarkLost(h, seg);
-        break;
-      }
-    }
+    MarkFirstHoleLost(s, h);
     EnterRecovery(c, h);
   } else if (!cc->TimeBasedRecovery() && h.in_recovery && newly_acked > 0 &&
              SeqLt(c.snd_una, h.recover_seq)) {
     // NewReno partial ACK: the next hole is lost too; repair it without
     // leaving recovery.
-    for (int32_t si = h.rtx_head; si != kNilIndex; si = s.segs.At(si).next) {
-      TxSeg& seg = s.segs.At(si);
-      if (!seg.sacked && !seg.lost) {
-        MarkLost(h, seg);
-        break;
-      }
-    }
+    MarkFirstHoleLost(s, h);
   }
   if (h.in_recovery && SeqGe(c.snd_una, h.recover_seq)) {
     h.in_recovery = false;
@@ -741,42 +843,42 @@ void TransportPlane::EnterRecovery(TcpConn& c, TcpHot& h) {
   GetCongestionControl(c.cc_kind())->OnEnterRecovery(c, h);
 }
 
-void TransportPlane::MarkLost(TcpHot& h, TxSeg& seg) {
+// sciolint: hotpath
+void TransportPlane::MarkLost(Side& s, TcpHot& h, int32_t si) {
+  TxSeg& seg = s.segs.At(si);
   if (seg.lost || seg.sacked) {
     return;
   }
   seg.lost = true;
   h.lost_bytes += seg.len;
+  SegUnlink(s.segs, h.rack, &TxSeg::rack, si);
 }
 
+// sciolint: hotpath
+void TransportPlane::MarkFirstHoleLost(Side& s, TcpHot& h) {
+  for (int32_t si = h.unsacked.head; si != kNilIndex;
+       si = s.segs.At(si).unsacked.next) {
+    if (!s.segs.At(si).lost) {
+      MarkLost(s, h, si);
+      return;
+    }
+  }
+}
+
+// sciolint: hotpath
 void TransportPlane::RackDetect(bool server, int32_t ci, TcpConn& c,
                                 TcpHot& h) {
   if (h.rack_mstamp == 0) {
     return;  // nothing delivered yet; nothing can be time-ordered lost
   }
   Side& s = side(server);
-  const SimTime now = kernel_->now();
-  const SimDuration reo_wnd =
-      std::max<SimDuration>(Micros(c.srtt_us / 4), Millis(1));
   bool newly_lost = false;
-  SimDuration min_wait = 0;
-  for (int32_t si = h.rtx_head; si != kNilIndex; si = s.segs.At(si).next) {
-    TxSeg& seg = s.segs.At(si);
-    if (seg.sacked || seg.lost || seg.tx_time >= h.rack_mstamp) {
-      continue;  // delivered, already marked, or sent after the newest ACK
-    }
-    const SimDuration waited = now - seg.tx_time;
-    if (waited >= reo_wnd) {
-      MarkLost(h, seg);
-      ++stats_.rack_marked_lost;
-      newly_lost = true;
-    } else {
-      const SimDuration remain = reo_wnd - waited;
-      if (min_wait == 0 || remain < min_wait) {
-        min_wait = remain;
-      }
-    }
-  }
+  const SimDuration min_wait =
+      RackWalk(s.segs, h, ReorderWindow(c), kernel_->now(), [&](int32_t si) {
+        MarkLost(s, h, si);
+        ++stats_.rack_marked_lost;
+        newly_lost = true;
+      });
   if (newly_lost && !h.in_recovery) {
     EnterRecovery(c, h);
   }
@@ -894,8 +996,9 @@ void TransportPlane::OnRtoTimer(bool server, int32_t ci, uint32_t gen) {
   h.recover_seq = c.snd_nxt;
   h.dupacks = 0;
   h.tlp_out = false;
-  for (int32_t si = h.rtx_head; si != kNilIndex; si = s.segs.At(si).next) {
-    MarkLost(h, s.segs.At(si));  // skips sacked segments
+  for (int32_t si = h.unsacked.head; si != kNilIndex;
+       si = s.segs.At(si).unsacked.next) {
+    MarkLost(s, h, si);
   }
   Pump(server, ci);
 }
@@ -920,10 +1023,7 @@ void TransportPlane::OnLossTimer(bool server, int32_t ci, uint32_t gen,
     // Tail-loss probe: resend the newest unsacked segment to draw an ACK or
     // SACK out of the peer, converting an invisible tail loss into a RACK
     // detection two RTTs later instead of a full RTO.
-    int32_t si = h.rtx_tail;
-    while (si != kNilIndex && s.segs.At(si).sacked) {
-      si = s.segs.At(si).prev;
-    }
+    const int32_t si = h.unsacked.tail;
     if (si == kNilIndex) {
       return;
     }
@@ -1087,6 +1187,7 @@ void TransportPlane::ReleaseConn(bool server, int32_t ci, SimSocket* sock) {
       si = next;
     }
     h.rtx_head = h.rtx_tail = kNilIndex;
+    h.unsacked = h.rack = SegListEnds{};
     h.rtx_count = 0;
     ReleaseHot(s, c);
   }
@@ -1107,6 +1208,7 @@ void TransportPlane::ReleaseHot(Side& s, TcpConn& c) {
   h.backlog.clear();
   h.backlog_bytes = 0;
   h.ooo.clear();
+  h.runs.clear();
   h.ooo_bytes = 0;
   s.hot.ReleaseAt(c.hot);
   c.hot = kNilIndex;
@@ -1129,6 +1231,128 @@ void TransportPlane::MaybeQuiesce(bool server, int32_t ci) {
     // resurrect it on the next write or out-of-order arrival.
     ReleaseHot(s, c);
   }
+}
+
+std::string TransportPlane::CheckScoreboard() {
+  std::string err;
+  for (const bool server : {true, false}) {
+    Side& s = side(server);
+    s.conns.ForEach([&](size_t ci, TcpConn& c) {
+      if (!err.empty() || c.hot == kNilIndex) {
+        return;
+      }
+      TcpHot& h = s.hot.At(c.hot);
+      auto fail = [&](const std::string& what) {
+        err = std::string(server ? "server" : "client") + " conn " +
+              std::to_string(ci) + ": " + what;
+      };
+      // Sender: the retransmit queue is the ground truth.
+      std::vector<int32_t> unsacked;
+      std::vector<int32_t> rack;
+      uint32_t count = 0;
+      uint32_t sacked_bytes = 0;
+      uint32_t lost_bytes = 0;
+      int32_t last = kNilIndex;
+      for (int32_t si = h.rtx_head; si != kNilIndex; si = s.segs.At(si).next) {
+        const TxSeg& seg = s.segs.At(si);
+        if (last != kNilIndex && !SeqLt(s.segs.At(last).seq, seg.seq)) {
+          return fail("retransmit queue out of sequence order");
+        }
+        if (seg.sacked && seg.lost) {
+          return fail("segment both SACKed and lost");
+        }
+        ++count;
+        sacked_bytes += seg.sacked ? seg.len : 0;
+        lost_bytes += seg.lost ? seg.len : 0;
+        if (!seg.sacked) {
+          unsacked.push_back(si);
+          if (!seg.lost) {
+            rack.push_back(si);
+          }
+        }
+        last = si;
+      }
+      if (last != h.rtx_tail || count != h.rtx_count) {
+        return fail("retransmit queue tail or count");
+      }
+      if (sacked_bytes != h.sacked_bytes || lost_bytes != h.lost_bytes) {
+        return fail("sacked_bytes or lost_bytes");
+      }
+      // Walks one TxSeg list, checking its back links and tail.
+      auto walk = [&](const SegListEnds& list, IndexLink TxSeg::*link,
+                      std::vector<int32_t>* out) {
+        int32_t prev = kNilIndex;
+        for (int32_t si = list.head; si != kNilIndex && out->size() <= count;
+             si = (s.segs.At(si).*link).next) {
+          if ((s.segs.At(si).*link).prev != prev) {
+            return false;
+          }
+          out->push_back(si);
+          prev = si;
+        }
+        return prev == list.tail && out->size() <= count;
+      };
+      std::vector<int32_t> got;
+      if (!walk(h.unsacked, &TxSeg::unsacked, &got) || got != unsacked) {
+        return fail("un-SACKed list is not the queue's un-SACKed segments");
+      }
+      got.clear();
+      if (!walk(h.rack, &TxSeg::rack, &got)) {
+        return fail("RACK list links");
+      }
+      for (size_t k = 1; k < got.size(); ++k) {
+        if (s.segs.At(got[k]).tx_time < s.segs.At(got[k - 1]).tx_time) {
+          return fail("RACK list out of send order");
+        }
+      }
+      std::sort(got.begin(), got.end());
+      std::sort(rack.begin(), rack.end());
+      if (got != rack) {
+        return fail("RACK list is not the queue's un-SACKed, unlost segments");
+      }
+      // RackDetect against the whole-queue walk it replaced.
+      if (h.rack_mstamp != 0) {
+        const SimTime now = kernel_->now();
+        const SimDuration reo_wnd = ReorderWindow(c);
+        std::vector<int32_t> want_lost;
+        SimDuration want_wait = 0;
+        for (int32_t si = h.rtx_head; si != kNilIndex; si = s.segs.At(si).next) {
+          const TxSeg& seg = s.segs.At(si);
+          if (seg.sacked || seg.lost || seg.tx_time >= h.rack_mstamp) {
+            continue;
+          }
+          const SimDuration waited = now - seg.tx_time;
+          if (waited >= reo_wnd) {
+            want_lost.push_back(si);
+          } else if (want_wait == 0 || reo_wnd - waited < want_wait) {
+            want_wait = reo_wnd - waited;
+          }
+        }
+        std::vector<int32_t> got_lost;
+        const SimDuration got_wait = RackWalk(
+            s.segs, h, reo_wnd, now, [&](int32_t si) { got_lost.push_back(si); });
+        std::sort(want_lost.begin(), want_lost.end());
+        std::sort(got_lost.begin(), got_lost.end());
+        if (got_lost != want_lost || got_wait != want_wait) {
+          return fail("RackDetect disagrees with the whole-queue walk");
+        }
+      }
+      // Receiver: the runs are the ooo map merged while contiguous.
+      std::vector<std::pair<uint32_t, uint32_t>> runs;
+      for (const auto& [seq, chunk] : h.ooo) {
+        const uint32_t end = seq + static_cast<uint32_t>(chunk.size());
+        if (!runs.empty() && runs.back().second == seq) {
+          runs.back().second = end;
+        } else {
+          runs.emplace_back(seq, end);
+        }
+      }
+      if (runs != h.runs) {
+        return fail("receiver runs are not the merged out-of-order queue");
+      }
+    });
+  }
+  return err;
 }
 
 }  // namespace scio

@@ -9,6 +9,17 @@
 // changes and every checked-in baseline stays byte-identical — the same
 // opt-in pattern as the SMP plane.
 //
+// Scoreboard cost: an ACK's work is proportional to what it changes, not to
+// the window. Besides the sequence-ordered retransmit queue each connection
+// keeps an un-SACKed list (sequence order) and a RACK list (send order), and
+// each receiver its out-of-order data as merged runs (tcp_state.h states
+// the invariants). SACK marking, the hole searches, RTO marking and the
+// tail-loss probe walk the un-SACKed list, RACK detection walks the send
+// order only as far as it marks, the repair pass runs only while something
+// is marked lost, and an ACK copies its SACK blocks from the first three
+// runs. The whole-queue walks these replace survive only in
+// CheckScoreboard(), the test oracle.
+//
 // Memory: the server side's cold blocks, hot blocks, retransmit-segment slab
 // and socket-backpointer sidecar are charged to MemSys::kTransport; the
 // client machine's mirror structures are not ledgered, just as client CPU is
@@ -115,6 +126,14 @@ class TransportPlane : public TcpTransportHook {
                                       uint16_t retx)>;
   void set_loss_hook(LossHook hook) { loss_hook_ = std::move(hook); }
 
+  // Test oracle: re-derives every live connection's scoreboard with the
+  // whole-queue walks the plane no longer runs — both TxSeg lists' members
+  // and order, the byte counters, the receiver's runs against its ooo map,
+  // and RackDetect's lost marks and next wait at the current time — and
+  // returns the first disagreement, or "" when there is none. O(every
+  // queued segment and parked segment); the plane never calls it.
+  std::string CheckScoreboard();
+
   const TransportConfig& config() const { return config_; }
   const TransportStats& stats() const { return stats_; }
 
@@ -175,7 +194,11 @@ class TransportPlane : public TcpTransportHook {
 
   // --- loss detection / timers -------------------------------------------------
   void EnterRecovery(TcpConn& c, TcpHot& h);
-  void MarkLost(TcpHot& h, TxSeg& seg);
+  // Marks an un-SACKed segment lost (no-op if already lost), taking it off
+  // the RACK list.
+  void MarkLost(Side& s, TcpHot& h, int32_t si);
+  // Marks the first un-SACKed segment not yet lost: the next hole.
+  void MarkFirstHoleLost(Side& s, TcpHot& h);
   void RackDetect(bool server, int32_t ci, TcpConn& c, TcpHot& h);
   void ArmRto(bool server, int32_t ci, TcpConn& c, TcpHot& h);
   void ArmTlp(bool server, int32_t ci, TcpConn& c, TcpHot& h);

@@ -1,9 +1,10 @@
 // Tests for the opt-in transport plane: attach/detach lifecycle, real
 // segmentation and reassembly, SACK loss recovery under each congestion
-// stack, link-flap drain without slab or ledger leaks, a differential check
-// of the Reno cwnd math against an independent reference, RACK-vs-Reno
-// tail-loss recovery time, orphan abandonment, and the attribution and
-// memory-ledger invariants.
+// stack, the scoreboard's lists and runs against the whole-queue oracle
+// after every event, link-flap drain without slab or ledger leaks, a
+// differential check of the Reno cwnd math against an independent
+// reference, RACK-vs-Reno tail-loss recovery time, orphan abandonment, and
+// the attribution and memory-ledger invariants.
 
 #include <gtest/gtest.h>
 
@@ -84,15 +85,16 @@ class TransportWorldTest : public SimWorldTest {
 struct TpWorld {
   Simulator sim;
   SimKernel kernel{&sim};
-  NetStack net{&kernel};
+  NetStack net;
   Process& proc;
   Sys sys;
   TransportPlane plane;
   int listen_fd = -1;
   std::shared_ptr<SimListener> listener;
 
-  explicit TpWorld(TransportConfig cfg = {})
-      : proc(kernel.CreateProcess("server")),
+  explicit TpWorld(TransportConfig cfg = {}, NetConfig net_cfg = {})
+      : net(&kernel, net_cfg),
+        proc(kernel.CreateProcess("server")),
         sys(&kernel, &proc, &net),
         plane(&kernel, &net, cfg) {
     listen_fd = sys.Listen();
@@ -243,6 +245,130 @@ TEST(TransportLoss, BbrDeliversUnderLossAndPaces) {
   TransportStats stats;
   RunLossyTransfer(CcKind::kBbr, &stats);
   EXPECT_GT(stats.segments_retransmitted, 0u);
+}
+
+// --- scoreboard oracle -------------------------------------------------------
+
+// One shape of seeded lossy traffic for the scoreboard oracle: `responses`
+// writes of `response_bytes` over one connection, each once the client has
+// read the one before, so every response's tail can be lost. The loss hook
+// draws from its own seeded stream: `p_first` of first sends, `p_repair` of
+// repairs and probes.
+struct OracleShape {
+  SimDuration latency;
+  size_t responses;
+  size_t response_bytes;
+  double p_first;
+  double p_repair;
+};
+
+// A seeded lossy transfer whose scoreboard the plane's whole-queue oracle
+// (TransportPlane::CheckScoreboard) re-derives after every simulator event.
+// The link delivers in order, so only repairs arrive out of order; lost
+// repairs are what let a later repair fill the gap between two parked runs.
+// Delivery jitter varies every RTT sample, and with it the reorder window
+// and the probe timeout. Returns the plane's counters.
+TransportStats RunScoreboardOracle(CcKind kind, uint64_t seed,
+                                   const OracleShape& shape) {
+  SCOPED_TRACE(std::string(CcKindName(kind)) + " seed " +
+               std::to_string(seed) + " latency " +
+               std::to_string(shape.latency / Micros(1)) + " us");
+  TransportConfig cfg;
+  cfg.default_cc = kind;
+  cfg.seed = seed;
+  cfg.delivery_jitter = Micros(400);
+  NetConfig net;
+  net.latency = shape.latency;
+  net.sndbuf = 256 * 1024;
+  TpWorld w(cfg, net);
+  auto [client, fd] = w.Establish();
+  Rng drops(seed);
+  w.plane.set_loss_hook([&drops, &shape](bool, uint32_t, uint16_t retx) {
+    return drops.Bernoulli(retx == 0 ? shape.p_first : shape.p_repair);
+  });
+
+  std::string failure;
+  auto check = [&] {
+    if (failure.empty()) {
+      failure = w.plane.CheckScoreboard();
+    }
+    return !failure.empty();
+  };
+  std::string received;
+  client->on_data = [&received, client = client](size_t) {
+    std::string chunk;
+    while (client->Read(1 << 20, &chunk).n > 0) {
+      received.append(chunk);
+    }
+  };
+  const std::string body = MakePattern(shape.responses * shape.response_bytes);
+  for (size_t off = 0; off < body.size() && failure.empty();) {
+    const size_t end = off + shape.response_bytes;
+    while (off < end && failure.empty()) {
+      const auto n = w.sys.Write(fd, Chunk{body.substr(off, end - off), 0});
+      if (n > 0) {
+        off += static_cast<size_t>(n);
+      } else {
+        w.sim.StepUntil(check, w.sim.now() + Millis(5));
+      }
+    }
+    w.sim.StepUntil([&] { return check() || received.size() >= off; },
+                    w.sim.now() + Seconds(300));
+  }
+  w.sim.StepUntil(check, w.sim.now() + Seconds(10));  // final ACKs, quiesce
+  client->on_data = nullptr;
+  EXPECT_EQ(failure, "") << "at " << w.sim.now() / Micros(1) << " us";
+  if (failure.empty()) {
+    EXPECT_EQ(received.size(), body.size());
+    EXPECT_TRUE(received == body) << "reassembly corrupted bytes";
+    EXPECT_EQ(w.plane.live_segments(), 0u);
+  }
+  return w.plane.stats();
+}
+
+// Each stack under two shapes. Bulk: 24 responses of 24 KB, 4% of first
+// sends and 25% of repairs lost, on a LAN path and a 100 ms long-fat one,
+// two seeds each. Short: 300 seeded connections, each one 40 KB response
+// over a 20 ms RTT, 15% and 50% lost. Only the short sweep sends tail-loss
+// probes behind a later repair, so that the probe must move its segment to
+// the back of the send order (RACK seeds 37, 39 and 188, BBR 118 and 151).
+// The counters show the runs reach parked segments, repairs and, for the
+// time-based stacks, RACK marks and probes.
+void ExpectScoreboardHolds(CcKind kind) {
+  TransportStats total;
+  auto add = [&total](const TransportStats& s) {
+    total.ooo_buffered += s.ooo_buffered;
+    total.segments_retransmitted += s.segments_retransmitted;
+    total.rack_marked_lost += s.rack_marked_lost;
+    total.tlp_probes += s.tlp_probes;
+  };
+  for (const uint64_t seed : {11, 12}) {
+    for (const SimDuration latency : {Micros(150), Millis(50)}) {
+      add(RunScoreboardOracle(kind, seed,
+                              {latency, 24, 24 * 1024, 0.04, 0.25}));
+    }
+  }
+  for (uint64_t seed = 1; seed <= 300 && !::testing::Test::HasFailure(); ++seed) {
+    add(RunScoreboardOracle(kind, seed, {Millis(10), 1, 40 * 1024, 0.15, 0.5}));
+  }
+  EXPECT_GT(total.ooo_buffered, 0u);
+  EXPECT_GT(total.segments_retransmitted, 0u);
+  if (GetCongestionControl(kind)->TimeBasedRecovery()) {
+    EXPECT_GT(total.rack_marked_lost, 0u);
+    EXPECT_GT(total.tlp_probes, 0u);
+  }
+}
+
+TEST(TransportScoreboard, ListsAndRunsMatchWholeQueueWalksUnderReno) {
+  ExpectScoreboardHolds(CcKind::kReno);
+}
+
+TEST(TransportScoreboard, ListsAndRunsMatchWholeQueueWalksUnderRack) {
+  ExpectScoreboardHolds(CcKind::kRack);
+}
+
+TEST(TransportScoreboard, ListsAndRunsMatchWholeQueueWalksUnderBbr) {
+  ExpectScoreboardHolds(CcKind::kBbr);
 }
 
 // --- satellite: link flap mid-transfer must not leak -------------------------
