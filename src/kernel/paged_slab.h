@@ -35,7 +35,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
@@ -280,45 +279,6 @@ class PagedStore {
   bool iterating_ = false;
   MemLedger* mem_ = nullptr;
   MemSys mem_sys_ = MemSys::kOtherMem;
-};
-
-// --- append-only paged storage ---------------------------------------------
-
-// An append-only sequence with stable element addresses: elements are
-// constructed in place in pages of kPerPage, so an append allocates only
-// when it opens a page, and nothing ever moves. Destruction runs in append
-// order, as a vector's does.
-template <typename T, size_t kPerPage = 256>
-class PagedVector {
- public:
-  PagedVector() = default;
-  PagedVector(const PagedVector&) = delete;
-  PagedVector& operator=(const PagedVector&) = delete;
-  ~PagedVector() {
-    for (size_t i = 0; i < size_; ++i) {
-      std::launder(static_cast<T*>(Raw(i)))->~T();
-    }
-  }
-
-  template <typename... Args>
-  T& emplace_back(Args&&... args) {
-    if (size_ == pages_.size() * kPerPage) {
-      pages_.push_back(std::make_unique<Page>());
-    }
-    T* slot = ::new (Raw(size_)) T(std::forward<Args>(args)...);
-    ++size_;
-    return *slot;
-  }
-
- private:
-  struct Page {
-    alignas(T) unsigned char bytes[sizeof(T) * kPerPage];
-  };
-
-  void* Raw(size_t i) { return pages_[i / kPerPage]->bytes + i % kPerPage * sizeof(T); }
-
-  std::vector<std::unique_ptr<Page>> pages_;
-  size_t size_ = 0;
 };
 
 // --- intrusive index-linked lists ------------------------------------------

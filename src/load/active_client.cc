@@ -1,15 +1,18 @@
 #include "src/load/active_client.h"
 
+#include <cassert>
 #include <cstdint>
 
 namespace scio {
 
-ActiveClient::ActiveClient(ClientContext* context, ConnRecord* record)
-    : context_(context), record_(record) {}
-
 ActiveClient::~ActiveClient() { timeout_timer_.Cancel(); }
 
-void ActiveClient::Start() {
+void ActiveClient::Start(ClientContext* context, ConnRecord* record) {
+  assert(socket_ == nullptr && "Start on a client that still holds a socket");
+  context_ = context;
+  record_ = record;
+  reader_ = ResponseReader{};
+  done_ = false;
   NetStack* net = context_->net;
   if (record_->attempts == 0) {
     record_->start = net->kernel()->now();
@@ -76,10 +79,22 @@ void ActiveClient::Finish(ConnOutcome outcome) {
     socket_->on_data = nullptr;
     socket_->on_eof = nullptr;
     socket_->Close();
+    DropReleasedSocket();
   }
   if (on_done) {
     on_done(outcome);
   }
+}
+
+bool ActiveClient::DropReleasedSocket() {
+  assert(done_ && "only a finished client lets its socket go");
+  if (socket_ != nullptr && socket_->transport() == nullptr) {
+    // No plane models this closed socket, and whatever still reaches it
+    // stops at its state check, so freeing it now and holding it to the
+    // end look the same to every model.
+    socket_.reset();
+  }
+  return socket_ == nullptr;
 }
 
 }  // namespace scio

@@ -28,23 +28,36 @@ struct ClientContext {
   std::string read_buffer;  // every client's reads land here, one at a time
 };
 
+// A client is made parked and runs one connection per Start(), so a
+// generator can keep its clients in slots and reuse a finished one.
 class ActiveClient {
  public:
-  // `context` must outlive the client.
-  ActiveClient(ClientContext* context, ConnRecord* record);
+  ActiveClient() = default;
   ActiveClient(const ActiveClient&) = delete;
   ActiveClient& operator=(const ActiveClient&) = delete;
   ~ActiveClient();
 
-  // Initiate the connection; fills the record immediately on kNoPorts.
-  // Counts one attempt; the record's start time is set on the first attempt
-  // only, so ConnTime spans retries.
-  void Start();
+  // Initiate a connection for `record`; `context` must outlive the client,
+  // which must be fresh or parked (holds_socket() false). Fills the record
+  // immediately on kNoPorts. Counts one attempt; the record's start time is
+  // set on the first attempt only, so ConnTime spans retries.
+  void Start(ClientContext* context, ConnRecord* record);
 
-  bool done() const { return done_; }
+  ConnRecord* record() const { return record_; }
 
-  // Invoked once, after the outcome is recorded; the generator uses it to
-  // decide whether to retry this record on a fresh connection.
+  // A finished client keeps its closed socket only while the transport
+  // plane models it (see transport_plane.h): the socket ACKs what still
+  // arrives until the plane releases its block. Finish frees a socket the
+  // plane does not model (always, without a plane).
+  bool holds_socket() const { return socket_ != nullptr; }
+
+  // On a finished client: frees the socket if the plane has released its
+  // block since. Returns !holds_socket().
+  bool DropReleasedSocket();
+
+  // Invoked once, after the outcome is recorded and the socket dropped or
+  // kept; the generator uses it to park the client and to decide whether
+  // to retry this record on a fresh connection.
   std::function<void(ConnOutcome)> on_done;
 
  private:
@@ -53,8 +66,8 @@ class ActiveClient {
   void OnData();
   void OnEof();
 
-  ClientContext* context_;
-  ConnRecord* record_;
+  ClientContext* context_ = nullptr;
+  ConnRecord* record_ = nullptr;
 
   std::shared_ptr<SimSocket> socket_;
   ResponseReader reader_;

@@ -1,6 +1,7 @@
 #include "src/load/httperf.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -27,14 +28,18 @@ HttperfGenerator::HttperfGenerator(NetStack* net, std::shared_ptr<SimListener> l
 
 void HttperfGenerator::Start(SimTime start_at) {
   const double gap_ns = 1e9 / workload_.request_rate;
+  auto arrive_at = [this, start_at](double offset) {
+    ConnRecord* record = &records_.emplace_back();
+    net_->kernel()->sim().ScheduleAt(start_at + static_cast<SimTime>(offset),
+                                     [this, record] { Launch(record); });
+  };
 
-  // Generate arrival offsets covering the whole window, so the offered rate
-  // holds over every sample bucket regardless of the arrival process.
-  std::vector<double> offsets;
+  // Arrival offsets cover the whole window, so the offered rate holds over
+  // every sample bucket regardless of the arrival process.
   if (workload_.poisson_arrivals) {
     double clock = rng_.Exponential(gap_ns);
     while (clock < static_cast<double>(workload_.duration)) {
-      offsets.push_back(clock);
+      arrive_at(clock);
       clock += rng_.Exponential(gap_ns);
     }
   } else {
@@ -43,25 +48,49 @@ void HttperfGenerator::Start(SimTime start_at) {
     for (size_t i = 0; i < total; ++i) {
       const double jitter = rng_.UniformReal(-kArrivalJitter, kArrivalJitter) * gap_ns;
       const double at = gap_ns * static_cast<double>(i) + jitter;
-      offsets.push_back(at < 0 ? 0 : at);
+      arrive_at(at < 0 ? 0 : at);
     }
   }
-
-  for (double offset : offsets) {
-    records_.emplace_back();
-    ConnRecord* record = &records_.back();
-    net_->kernel()->sim().ScheduleAt(start_at + static_cast<SimTime>(offset),
-                                     [this, record] { Launch(record); });
-  }
+  // Every launch, retries included, could hold a slot at once.
+  clients_.set_limit(records_.size() * static_cast<size_t>(1 + workload_.max_retries));
 }
 
 // sciolint: hotpath
 void HttperfGenerator::Launch(ConnRecord* record) {
-  ActiveClient& client = clients_.emplace_back(&context_, record);
-  if (workload_.max_retries > 0) {
-    client.on_done = [this, record](ConnOutcome outcome) { MaybeRetry(record, outcome); };
+  if (modelled_.size() >= park_at_) {
+    ParkReleasedClients();
   }
-  client.Start();
+  const long slot = clients_.AllocateLowest();
+  assert(slot >= 0 && "Start sized the slots for every launch");
+  ActiveClient& client = clients_.At(static_cast<size_t>(slot));
+  // `this` and the slot fill std::function's inline buffer exactly; one more
+  // capture would allocate on every launch.
+  client.on_done = [this, slot](ConnOutcome outcome) { OnClientDone(slot, outcome); };
+  client.Start(&context_, record);
+}
+
+void HttperfGenerator::OnClientDone(long slot, ConnOutcome outcome) {
+  ActiveClient& client = clients_.At(static_cast<size_t>(slot));
+  ConnRecord* record = client.record();
+  if (client.holds_socket()) {
+    modelled_.push_back(slot);
+  } else {
+    clients_.ReleaseAt(static_cast<size_t>(slot));
+  }
+  MaybeRetry(record, outcome);
+}
+
+// Runs from Launch, an event of its own, so no socket it frees is on the
+// call stack.
+void HttperfGenerator::ParkReleasedClients() {
+  std::erase_if(modelled_, [this](long slot) {
+    if (!clients_.At(static_cast<size_t>(slot)).DropReleasedSocket()) {
+      return false;
+    }
+    clients_.ReleaseAt(static_cast<size_t>(slot));
+    return true;
+  });
+  park_at_ = std::max(kFirstPark, 2 * modelled_.size());
 }
 
 void HttperfGenerator::MaybeRetry(ConnRecord* record, ConnOutcome outcome) {

@@ -71,6 +71,9 @@ class NetStack {
 
   // A new, unwired socket from this stack's pool (see socket_pool.h).
   std::shared_ptr<SimSocket> MakeSocket(bool server_side);
+  // Sockets of this stack whose pool block is in use: each lives until its
+  // last strong or weak reference goes.
+  size_t live_sockets() const { return socket_alloc_.pool()->live_blocks(); }
 
   // Client-side connect: allocates an ephemeral port and launches the SYN.
   // Returns the (client-side) socket, or nullptr when the port space is

@@ -7,8 +7,8 @@
 // reference, strong or weak, goes. A warm stack connects, accepts and closes
 // without touching the heap.
 //
-// Ownership is plain shared_ptr with every release point it always had, so
-// the pool must outlive every socket, and sockets can outlive the NetStack
+// Ownership is plain shared_ptr, so the pool must outlive every socket, and
+// sockets can outlive the NetStack
 // (the kernel's fd tables and the event queue drop their last references
 // after it is destroyed). The pool is therefore reference-counted by its
 // allocators: the NetStack holds one, and each control block keeps the copy
@@ -48,15 +48,18 @@ class SocketPool {
     FreeBlock* block = free_;
     ASAN_UNPOISON_MEMORY_REGION(block, block_bytes_);
     free_ = block->next;
+    ++live_;
     return block;
   }
 
   void Give(void* p) {
-    auto* block = static_cast<FreeBlock*>(p);
-    block->next = free_;
-    free_ = block;
-    ASAN_POISON_MEMORY_REGION(block, block_bytes_);
+    --live_;
+    PushFree(p);
   }
+
+  // Blocks handed out and not yet given back: one per socket that still has
+  // a strong or weak reference.
+  size_t live_blocks() const { return live_; }
 
   void Ref() { ++refs_; }
   void Unref() {
@@ -83,18 +86,26 @@ class SocketPool {
     return (bytes + kAlign - 1) / kAlign * kAlign;
   }
 
+  void PushFree(void* p) {
+    auto* block = static_cast<FreeBlock*>(p);
+    block->next = free_;
+    free_ = block;
+    ASAN_POISON_MEMORY_REGION(block, block_bytes_);
+  }
+
   // Threads a new page's blocks onto the free list in address order.
   void AddPage() {
     auto* page = static_cast<char*>(::operator new(block_bytes_ * kBlocksPerPage));
     pages_.push_back(page);
     for (size_t i = kBlocksPerPage; i-- > 0;) {
-      Give(page + i * block_bytes_);
+      PushFree(page + i * block_bytes_);
     }
   }
 
   std::vector<void*> pages_;
   FreeBlock* free_ = nullptr;
   size_t block_bytes_ = 0;
+  size_t live_ = 0;
   size_t refs_ = 0;
 };
 

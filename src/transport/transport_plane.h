@@ -33,10 +33,16 @@
 // closed socket that is still held keeps its block until its own data and
 // FIN drain, and ACKs what arrives for it meanwhile; once the socket is
 // destroyed, segments for it count in segments_stale and get no ACK, so the
-// sender retransmits them. Results therefore depend on how long sockets are
-// held: the load generator keeps every finished client, socket included,
-// until it is destroyed, and releasing finished clients early moves the
-// modelled results of lossy runs (transport_test pins both halves).
+// sender retransmits them. The plane sees a socket only while its block is
+// live: ReleaseConn unwires it (transport() reads null), and from then on
+// holding the socket and freeing it look the same. So a finished load
+// client keeps its socket only while the plane models it: it frees the
+// socket at Close() when transport() already reads null (always, without a
+// plane), and otherwise holds it until the block is released, after which
+// the generator frees it when it next parks released clients. Freeing a
+// socket the plane still models would move the modelled results of lossy
+// runs (transport_test pins both halves, and the generator's side of the
+// rule).
 //
 // Determinism: all state lives in paged slabs (deterministic iteration), the
 // only RNG is the plane's own seeded jitter stream, and timers resolve

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <functional>
 #include <regex>
 #include <set>
@@ -13,10 +15,12 @@
 #include <utility>
 #include <vector>
 
+#include "src/http/static_content.h"
 #include "src/load/abusive_clients.h"
 #include "src/load/benchmark_run.h"
 #include "src/load/httperf.h"
 #include "src/load/inactive_pool.h"
+#include "src/servers/thttpd_poll.h"
 #include "tests/sim_world.h"
 
 namespace scio {
@@ -138,6 +142,66 @@ TEST_F(LoadTest, SlowlorisTeardownReleasesPortsUnderPressure) {
   sim_.RunAll();
   EXPECT_GT(fleet.slowloris_reconnects(), 0u) << "the churn actually happened";
   EXPECT_EQ(net_.ports().in_use(), 0) << "every reaped member gave its port back";
+}
+
+// Most connections in flight at once: the largest number of records whose
+// [start, end] spans share an instant.
+size_t PeakConcurrency(const std::deque<ConnRecord>& records) {
+  // (time, is_end): at one instant starts sort first, so touching spans overlap.
+  std::vector<std::pair<SimTime, bool>> edges;
+  for (const ConnRecord& record : records) {
+    edges.emplace_back(record.start, false);
+    edges.emplace_back(record.end, true);
+  }
+  std::sort(edges.begin(), edges.end());
+  size_t open = 0;
+  size_t peak = 0;
+  for (const auto& edge : edges) {
+    if (edge.second) {
+      --open;
+    } else {
+      peak = std::max(peak, ++open);
+    }
+  }
+  return peak;
+}
+
+// Without a transport plane a finished client gives back its socket and its
+// slot at once, so over 2,500 short connections the client slots in use
+// never exceed the connections in flight, and the run ends holding none of
+// either.
+TEST_F(LoadTest, FinishedClientsHandBackSocketAndSlot) {
+  StaticContent content;
+  content.AddDocument("/index.html", 6 * 1024);
+  ThttpdPoll server(&sys_, &content);
+  ASSERT_GE(server.Setup(), 0);
+  ActiveWorkload workload;
+  workload.request_rate = 1000;
+  workload.duration = Millis(2500);
+  workload.poisson_arrivals = false;
+  HttperfGenerator generator(&net_, sys_.listener(server.listener_fd()), workload);
+  generator.Start(sim_.now());
+  size_t peak_slots = 0;
+  size_t peak_sockets = 0;
+  for (SimTime t = sim_.now(); t < workload.duration; t += Micros(250)) {
+    sim_.ScheduleAt(t, [&] {
+      peak_slots = std::max(peak_slots, generator.clients_in_use());
+      peak_sockets = std::max(peak_sockets, net_.live_sockets());
+    });
+  }
+  server.Run(workload.duration + Millis(500));
+
+  ASSERT_EQ(generator.attempts(), 2500u);
+  for (const ConnRecord& record : generator.records()) {
+    ASSERT_EQ(record.outcome, ConnOutcome::kOk);
+  }
+  const size_t concurrency = PeakConcurrency(generator.records());
+  EXPECT_LT(concurrency, 50u) << "short connections overlap little";
+  EXPECT_GT(peak_slots, 0u) << "the probes ran";
+  EXPECT_LE(peak_slots, concurrency);
+  EXPECT_LE(peak_sockets, 2 * concurrency + 8) << "client and server end per connection";
+  EXPECT_EQ(generator.clients_in_use(), 0u);
+  EXPECT_EQ(net_.live_sockets(), 0u);
 }
 
 // --- full harness ------------------------------------------------------------------

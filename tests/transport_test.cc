@@ -3,8 +3,9 @@
 // stack, the scoreboard's lists and runs against the whole-queue oracle
 // after every event, link-flap drain without slab or ledger leaks, a
 // differential check of the Reno cwnd math against an independent
-// reference, RACK-vs-Reno tail-loss recovery time, orphan abandonment, and
-// the attribution and memory-ledger invariants.
+// reference, RACK-vs-Reno tail-loss recovery time, the socket lifetime rule
+// for a held socket and for the load generator's finished clients, orphan
+// abandonment, and the attribution and memory-ledger invariants.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,9 @@
 #include <utility>
 
 #include "src/fault/fault_plane.h"
+#include "src/http/static_content.h"
+#include "src/load/httperf.h"
+#include "src/servers/thttpd_poll.h"
 #include "src/transport/congestion_control.h"
 #include "src/transport/transport_plane.h"
 #include "tests/sim_world.h"
@@ -551,8 +555,9 @@ TEST(TransportRecovery, RackRecoversTailLossFasterThanReno) {
 
 // The lifetime rule in transport_plane.h: a client socket that is closed but
 // still held keeps ACKing the server's data; once the socket is destroyed,
-// segments for it are stale and get no ACK. (The load generator holds every
-// finished client's socket, so its runs depend on the first half.)
+// segments for it are stale and get no ACK. (A finished load client holds
+// its socket while the plane models it, so lossy runs depend on the first
+// half; the next test is the generator's side.)
 TEST_F(TransportWorldTest, ClosedHeldSocketAcksUntilDestroyed) {
   AttachPlane();
   auto [client, fd] = EstablishedPair();
@@ -577,6 +582,90 @@ TEST_F(TransportWorldTest, ClosedHeldSocketAcksUntilDestroyed) {
   EXPECT_EQ(server->in_flight(), 1000u) << "nothing ACKs for a destroyed socket";
 }
 
+// The generator-level twin: an httperf client that finishes while the plane
+// still models its socket keeps the socket, and with it its slot, and the
+// socket ACKs the server's data until the plane releases its block. From
+// then on the held socket gets no ACK, as a freed one would not.
+TEST_F(TransportWorldTest, FinishedClientKeepsModelledSocketUntilBlockGoes) {
+  AttachPlane();
+  // The client's request never arrives, so its block cannot drain and the
+  // client times out with the request unacked.
+  plane_->set_loss_hook(
+      [](bool server_sender, uint32_t, uint16_t) { return !server_sender; });
+  ActiveWorkload workload;
+  workload.request_rate = 100;
+  workload.duration = Millis(10);  // one connection
+  workload.client_timeout = Millis(50);
+  workload.poisson_arrivals = false;
+  HttperfGenerator generator(&net_, listener_, workload);
+  generator.Start(sim_.now());
+  sim_.StepUntil([&] { return listener_->backlog_depth() > 0; }, sim_.now() + Seconds(1));
+  const int fd = sys_.Accept(listen_fd_);
+  ASSERT_GE(fd, 0);
+  RunFor(Millis(100));
+  ASSERT_EQ(generator.attempts(), 1u);
+  ASSERT_EQ(generator.records().front().outcome, ConnOutcome::kTimeout);
+  EXPECT_EQ(generator.clients_in_use(), 1u) << "a modelled socket keeps its client";
+  EXPECT_EQ(net_.live_sockets(), 2u);
+  EXPECT_EQ(plane_->live_blocks(), 2u);
+
+  const std::shared_ptr<SimSocket> server = sys_.socket(fd);
+  const uint64_t stale_before = plane_->stats().segments_stale;
+  EXPECT_EQ(sys_.Write(fd, Chunk{"", 1000}), 1000);
+  RunFor(Millis(20));
+  EXPECT_EQ(server->in_flight(), 0u) << "the finished client's socket ACKed";
+  EXPECT_EQ(plane_->stats().segments_stale, stale_before);
+
+  // The request gets through on a retransmission: the client's block
+  // drains, sends its FIN and is released.
+  plane_->set_loss_hook(nullptr);
+  RunFor(Seconds(5));
+  EXPECT_EQ(plane_->live_blocks(), 1u) << "only the server's block remains";
+  EXPECT_EQ(net_.live_sockets(), 2u) << "no launch has parked the client since";
+
+  EXPECT_EQ(sys_.Write(fd, Chunk{"", 1000}), 1000);
+  RunFor(Millis(20));
+  EXPECT_EQ(server->in_flight(), 1000u) << "nothing ACKs for a released block";
+}
+
+// With the plane, every fourth client's request is lost once and the client
+// times out before the retransmission, so it finishes while the plane still
+// models its socket and keeps its slot until the block drains, about one RTO
+// later; a later launch then parks it. Over 5,000 connections the slots
+// follow the connections in flight and the client blocks still draining,
+// not the 1,250 clients that finished modelled.
+TEST_F(TransportWorldTest, GeneratorParksClientsThePlaneReleased) {
+  AttachPlane();
+  plane_->set_loss_hook([n = 0](bool server_sender, uint32_t, uint16_t retx) mutable {
+    return !server_sender && retx == 0 && n++ % 4 == 0;
+  });
+  StaticContent content;
+  content.AddDocument("/index.html", 6 * 1024);
+  ThttpdPoll server(&sys_, &content);
+  ASSERT_GE(server.Setup(), 0);
+  ActiveWorkload workload;
+  workload.request_rate = 500;
+  workload.duration = Seconds(10);
+  workload.client_timeout = Millis(100);
+  workload.poisson_arrivals = false;
+  HttperfGenerator generator(&net_, sys_.listener(server.listener_fd()), workload);
+  generator.Start(sim_.now());
+  size_t peak_slots = 0;
+  for (SimTime t = sim_.now(); t < workload.duration; t += Millis(1)) {
+    sim_.ScheduleAt(t, [&] { peak_slots = std::max(peak_slots, generator.clients_in_use()); });
+  }
+  server.Run(workload.duration + Seconds(2));
+
+  ASSERT_EQ(generator.attempts(), 5000u);
+  size_t modelled_finishes = 0;
+  for (const ConnRecord& record : generator.records()) {
+    modelled_finishes += record.outcome == ConnOutcome::kTimeout ? 1 : 0;
+  }
+  EXPECT_EQ(modelled_finishes, 1250u) << "every fourth request lost once";
+  EXPECT_GT(peak_slots, 0u) << "the probes ran";
+  EXPECT_LT(peak_slots, modelled_finishes / 4)
+      << "a finished client gives its slot back once the plane lets go";
+}
 
 TEST_F(TransportWorldTest, FinBehindLostSegmentWaitsForRepair) {
   AttachPlane();
